@@ -13,9 +13,10 @@ from .analysis import AnalysisReport, run_analysis
 from .errors import (AllCombinationsZero, AllMinorsZero, ArityMismatch,
                      BadPoint, BasePointError, ChainViolation,
                      CharDividesDegree, CommonFactor, FDoesNotDivideMinor,
-                     FiberboundError, MixedDegrees, NotDivisible,
-                     NotHomogeneous, ParseError, PthPowerHazard,
-                     RationalModeUnsupported, SingularChange, SOutOfRange)
+                     FiberboundError, MixedDegrees, NoSyzygyFound,
+                     NotDivisible, NotHomogeneous, ParseError, PthPowerHazard,
+                     RationalModeUnsupported, SingularChange, SOutOfRange,
+                     SyzygyCheckFailed)
 from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      ProjectivePoint, RankCheck, discover_fibers,
                      fiber_equation, minor_vanishing_check,

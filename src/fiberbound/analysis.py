@@ -20,6 +20,13 @@ from .syzygy import IndegResult, indeg_syzygy
 from .poly import MvPoly
 
 
+def _json_scalars(F, values) -> list:
+    """Field elements for JSON: balanced ints over F_p, strings over Q."""
+    if isinstance(F, PrimeField):
+        return [F.lift_balanced(c) for c in values]
+    return [str(c) for c in values]
+
+
 @dataclass
 class AnalysisReport:
     inp: RationalMapInput
@@ -64,7 +71,7 @@ class AnalysisReport:
             "minorCount": len(jr.minors3),
             "nonzeroMinorCount": sum(1 for m in jr.minors3 if not m.poly.is_zero()),
             "dependent": self.dependent,
-            "relation": ([F.lift_balanced(c) for c in self.relation]
+            "relation": (_json_scalars(F, self.relation)
                          if self.relation is not None else None),
             "eulerSyzygy": ({"delta": self.euler.delta,
                              "aDegrees": [a.total_degree() for a in self.euler.a]}
@@ -90,8 +97,7 @@ class AnalysisReport:
         if disc is not None:
             for r in disc.records:
                 fibers.append({
-                    "y": [F.lift_balanced(c) for c in r.y.coords]
-                    if isinstance(F, PrimeField) else [str(c) for c in r.y.coords],
+                    "y": _json_scalars(F, r.y.coords),
                     "h": r.h.to_str(names),
                     "degH": r.deg_h,
                     "weightedDeg": r.weighted_deg,
@@ -199,7 +205,7 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
     euler = None
     if jr.F is not None and inp.m == 2 and inp.n == 3:
         try:
-            euler = euler_syzygy(inp, jr.F)
+            euler = euler_syzygy(inp, jr.F, minors3=jr.minors3)
         except (CharDividesDegree, FDoesNotDivideMinor) as exc:
             warnings.append(f"Euler syzygy unavailable: {exc}")
 

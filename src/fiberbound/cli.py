@@ -17,7 +17,7 @@ from .fibers import ProjectivePoint, fiber_equation, tangent_rank_check
 from .fixtures import FIXTURES
 from .gcd import squarefree_decompose
 from .mapfile import parse_map_file
-from .syzygy import graded_syzygy_kernel, indeg_syzygy
+from .syzygy import graded_syzygy_kernel, indeg_from_dimensions
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,19 +74,16 @@ def cmd_fiber(args) -> int:
 def cmd_syzygy(args) -> int:
     inp = _load(args.file)
     cap = args.max_degree if args.max_degree is not None else inp.d
-    rows = []
-    for nu in range(cap + 1):
-        k = graded_syzygy_kernel(inp, nu)
-        rows.append((nu, k.dimension))
-    result = indeg_syzygy(inp, cap=cap)
+    dims = [graded_syzygy_kernel(inp, nu).dimension for nu in range(cap + 1)]
+    result = indeg_from_dimensions(inp, dims, cap)
     if args.json:
         print(json.dumps({"dimensions": [{"degree": nu, "dim": d}
-                                         for nu, d in rows],
+                                         for nu, d in enumerate(dims)],
                           "indegSyz": result.indeg,
                           "searchedUpTo": result.searched_up_to},
                          sort_keys=True, indent=2))
     else:
-        for nu, dim in rows:
+        for nu, dim in enumerate(dims):
             print(f"degree {nu}: kernel dimension {dim}")
         print(f"indeg(Syz) = {result.indeg}")
     return EXIT_OK

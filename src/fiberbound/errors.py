@@ -37,6 +37,14 @@ class FDoesNotDivideMinor(FiberboundError):
     """A signed 3-minor is not an exact multiple of F (unlucky prime or bug)."""
 
 
+class SyzygyCheckFailed(FiberboundError):
+    """A kernel vector failed symbolic re-verification as a syzygy."""
+
+
+class NoSyzygyFound(FiberboundError):
+    """No syzygy up to degree d, where a Koszul relation guarantees one."""
+
+
 class SingularChange(FiberboundError):
     """The requested change of basis matrix is not invertible."""
 

@@ -30,9 +30,8 @@ from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
 from .jacobian import RationalMapInput, build_jacobian, minors
 from .linalg import rank
 from .poly import MvPoly
-from .univariate import (irreducible_quadratics, strip_rational_roots,
-                         u_deg, u_invmod, u_is_zero, u_mulmod, u_rem, u_roots,
-                         u_trim)
+from .univariate import (irreducible_quadratics, u_deg, u_divmod, u_invmod,
+                         u_mulmod, u_rem, u_roots)
 
 
 @dataclass(frozen=True)
@@ -136,10 +135,6 @@ def fiber_equation(inp: RationalMapInput, y, pivot: int | None = None) -> MvPoly
     return g.monic()
 
 
-def _line_rng(seed: int, index: int) -> random.Random:
-    return random.Random(seed * 1_000_003 + index)
-
-
 def _random_line(field, nvars: int, rng: random.Random):
     """Affine line t -> a + t*b in a random chart (a[c] = 1, b[c] = 0)."""
     c = rng.randrange(nvars)
@@ -152,6 +147,26 @@ def _random_line(field, nvars: int, rng: random.Random):
             return a, b
 
 
+def _line_roots(h: MvPoly, budget: int, seed: int):
+    """Walk `budget` random lines; per line yield (rng, a, b, u, roots).
+
+    u is h restricted to t -> a + t*b (empty when h vanishes on the line)
+    and roots are its F_p roots.  The rng is the line's own, positioned
+    after the root-finding seed was drawn.
+    """
+    F = h.field
+    for i in range(budget):
+        rng = random.Random(seed * 1_000_003 + i)
+        a, b = _random_line(F, h.nvars, rng)
+        u = h.on_line(a, b)
+        roots = u_roots(F, u, seed=rng.randrange(1 << 30)) if u else []
+        yield rng, a, b, u, roots
+
+
+def _point_on_line(F, a: list, b: list, t0) -> list:
+    return [F.add(ai, F.mul(t0, bi)) for ai, bi in zip(a, b)]
+
+
 def sample_hypersurface_points(h: MvPoly, budget: int, seed: int = 0) -> list:
     """Rational points on Z(h) found along `budget` random lines, deduplicated.
 
@@ -162,22 +177,10 @@ def sample_hypersurface_points(h: MvPoly, budget: int, seed: int = 0) -> list:
         raise RationalModeUnsupported("hypersurface sampling needs a prime field")
     if h.is_constant():
         raise ValueError("hypersurface sampling needs a nonconstant polynomial")
-    seen = set()
-    points = []
-    for i in range(budget):
-        rng = _line_rng(seed, i)
-        a, b = _random_line(F, h.nvars, rng)
-        u = h.on_line(a, b)
-        if u_is_zero(u):
-            continue
-        for t0 in u_roots(F, u, seed=rng.randrange(1 << 30)):
-            x = [F.add(ai, F.mul(t0, bi)) for ai, bi in zip(a, b)]
-            pt = ProjectivePoint.create(F, x)
-            if pt.coords not in seen:
-                seen.add(pt.coords)
-                points.append(pt)
-    points.sort(key=lambda p: p.coords)
-    return points
+    found = {ProjectivePoint.create(F, _point_on_line(F, a, b, t0))
+             for _, a, b, _, roots in _line_roots(h, budget, seed)
+             for t0 in roots}
+    return sorted(found, key=lambda pt: pt.coords)
 
 
 def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
@@ -200,11 +203,7 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
     degenerate = 0
 
     def consider(y_coords) -> None:
-        nonlocal records
-        try:
-            pt = ProjectivePoint.create(Fld, y_coords)
-        except ValueError:
-            return
+        pt = ProjectivePoint.create(Fld, y_coords)
         if pt.coords in seen:
             return
         h = fiber_equation(inp, pt)
@@ -219,51 +218,45 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
         seen[pt.coords] = rec
         records.append(rec)
 
-    for i in range(budget):
-        rng = _line_rng(seed, i)
-        a, b = _random_line(Fld, inp.nvars, rng)
-        u = sf.on_line(a, b)
-        if u_is_zero(u):
+    for rng, a, b, u, roots in _line_roots(sf, budget, seed):
+        if not u:
             degenerate += 1
             continue
-        roots = u_roots(Fld, u, seed=rng.randrange(1 << 30))
         for t0 in roots:
-            x = [Fld.add(ai, Fld.mul(t0, bi)) for ai, bi in zip(a, b)]
+            x = _point_on_line(Fld, a, b, t0)
             fvals = [fi.evaluate(x) for fi in inp.f]
             if all(Fld.is_zero(v) for v in fvals):
                 base_skips += 1
                 continue
             consider(fvals)
-        # Conjugate point pairs: irreducible quadratic factors of the restriction.
-        rest = strip_rational_roots(Fld, u, roots)
-        if u_deg(rest) >= 2:
-            quads = irreducible_quadratics(Fld, rest, seed=rng.randrange(1 << 30))
-            if quads:
-                f_on_line = [fi.on_line(a, b) for fi in inp.f]
-                for q in quads:
-                    residues = [u_trim(Fld, list(u_rem(Fld, fl, q)))
-                                for fl in f_on_line]
-                    pivot = next((k for k, r in enumerate(residues)
-                                  if not u_is_zero(r)), None)
-                    if pivot is None:
-                        base_skips += 1
-                        continue
-                    inv = u_invmod(Fld, residues[pivot], q)
-                    ys = []
-                    rational = True
-                    for r in residues:
-                        if u_is_zero(r):
-                            ys.append(Fld.zero)
-                            continue
-                        prod = u_mulmod(Fld, r, inv, q)
-                        if u_deg(prod) > 0:
-                            rational = False
-                            break
-                        ys.append(prod[0] if prod else Fld.zero)
-                    if not rational:
-                        nonrational += 1
-                        continue
-                    consider(ys)
+        # Conjugate point pairs: irreducible quadratic factors of the restriction,
+        # which need two degrees of u beyond its distinct rational roots.
+        if u_deg(u) - len(roots) < 2:
+            continue
+        # Dividing each root out once keeps the modulus of the search small.
+        rest = u
+        for r in roots:
+            rest = u_divmod(rest, [-r % Fld.p, 1], Fld.p)[0]
+        quads = irreducible_quadratics(Fld, rest, seed=rng.randrange(1 << 30))
+        if not quads:
+            continue
+        f_on_line = [fi.on_line(a, b) for fi in inp.f]
+        for q in quads:
+            residues = [u_rem(fl, q, Fld.p) for fl in f_on_line]
+            pivot = next((k for k, r in enumerate(residues) if r), None)
+            if pivot is None:
+                base_skips += 1
+                continue
+            inv = u_invmod(residues[pivot], q, Fld.p)
+            ys = []
+            for r in residues:
+                prod = u_mulmod(r, inv, q, Fld.p)
+                if u_deg(prod) > 0:
+                    nonrational += 1
+                    break
+                ys.append(prod[0] if prod else Fld.zero)
+            else:
+                consider(ys)
 
     records.sort(key=lambda r: r.y.coords)
     covered = sum(sum(p.total_degree() for p, _ in r.sqfree) for r in records)

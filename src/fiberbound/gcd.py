@@ -26,9 +26,8 @@ from __future__ import annotations
 import random
 
 from .errors import PthPowerHazard
-from .fields import PrimeField
 from .poly import MvPoly
-from .univariate import u_deg, u_gcd, u_trim, mvpoly_to_univariate
+from .univariate import u_deg, u_gcd, u_reduce, mvpoly_to_univariate
 
 _PROBE_SEED = 0x5EEDF1BE
 _PROBE_ATTEMPTS = 4
@@ -115,13 +114,12 @@ def _univariate_gcd(a: MvPoly, b: MvPoly, v: int) -> MvPoly:
     F = a.field
     _, ca = mvpoly_to_univariate(a)
     _, cb = mvpoly_to_univariate(b)
-    g = u_gcd(F, ca, cb)
+    g = u_gcd(ca, cb, F.char)
     terms = {}
     for k, c in enumerate(g):
-        if not F.is_zero(c):
-            e = [0] * a.nvars
-            e[v] = k
-            terms[tuple(e)] = c
+        e = [0] * a.nvars
+        e[v] = k
+        terms[tuple(e)] = c
     return MvPoly(F, a.nvars, terms)
 
 
@@ -184,27 +182,16 @@ def _prem(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
     return r
 
 
-def _pow(F, x, k: int):
-    acc = F.one
-    while k:
-        if k & 1:
-            acc = F.mul(acc, x)
-        x = F.mul(x, x)
-        k >>= 1
-    return acc
-
-
 def _specialize(a: MvPoly, v: int, point: dict) -> list:
     """Dense univariate image of a in v with the other variables evaluated."""
-    F = a.field
-    out = [F.zero] * (a.degree_in(v) + 1)
+    p = a.field.char
+    out = [0] * (a.degree_in(v) + 1)
     for e, c in a.terms.items():
-        val = c
         for j, k in enumerate(e):
             if j != v and k:
-                val = F.mul(val, _pow(F, point[j], k))
-        out[e[v]] = F.add(out[e[v]], val)
-    return u_trim(F, out)
+                c *= pow(point[j], k, p or None)
+        out[e[v]] += c
+    return u_reduce(out, p)
 
 
 def _probe_no_common_part(a: MvPoly, b: MvPoly, v: int) -> bool:
@@ -218,7 +205,7 @@ def _probe_no_common_part(a: MvPoly, b: MvPoly, v: int) -> bool:
         ub = _specialize(b, v, point)
         if u_deg(ua) != a.degree_in(v) or u_deg(ub) != b.degree_in(v):
             continue
-        return u_deg(u_gcd(F, ua, ub)) == 0
+        return u_deg(u_gcd(ua, ub, F.char)) == 0
     return False
 
 
@@ -260,10 +247,10 @@ def squarefree_decompose(a: MvPoly) -> list[tuple[MvPoly, int]]:
 
 
 def _check_char(a: MvPoly) -> None:
-    F = a.field
-    if isinstance(F, PrimeField) and F.p <= a.total_degree():
+    p = a.field.char
+    if 0 < p <= a.total_degree():
         raise PthPowerHazard(
-            f"characteristic {F.p} <= degree {a.total_degree()}: "
+            f"characteristic {p} <= degree {a.total_degree()}: "
             "p-th powers would collapse")
 
 

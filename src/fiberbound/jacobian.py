@@ -17,7 +17,7 @@ from .errors import (AllMinorsZero, ArityMismatch, CharDividesDegree,
                      NotDivisible, NotHomogeneous, SingularChange, SOutOfRange)
 from .fields import PrimeField
 from .gcd import gcd_multivariate
-from .linalg import is_invertible, kernel_basis, rank
+from .linalg import kernel_basis, rank
 from .poly import MvPoly
 
 
@@ -147,9 +147,7 @@ def gcd_of_minors(minor_polys, seed=None) -> MvPoly:
     if not polys:
         raise AllMinorsZero("I_3(J(f)) = 0: every 3-minor vanishes")
     if seed is not None:
-        rng = random.Random(seed)
-        polys = list(polys)
-        rng.shuffle(polys)
+        random.Random(seed).shuffle(polys)
     g = polys[0].monic()
     for p in polys[1:]:
         if g.is_constant():
@@ -173,7 +171,7 @@ def jacobian_report(inp: RationalMapInput, seed=None) -> JacobianReport:
     m3 = minors(jac, 3) if min(inp.n + 1, inp.m + 1) >= 3 else []
     i3 = any(not mn.poly.is_zero() for mn in m3)
     F = gcd_of_minors(m3, seed=seed) if i3 else None
-    itop, _ = generic_finiteness_check(inp, jac=jac)
+    itop, _ = generic_finiteness_check(inp, jac=jac, minors3=m3)
     return JacobianReport(jac=jac, minors3=m3, F=F,
                           degF=F.total_degree() if F is not None else None,
                           i3_nonzero=i3, i_top_nonzero=itop)
@@ -188,18 +186,21 @@ class EulerSyzygy:
     delta: int
 
 
-def euler_syzygy(inp: RationalMapInput, F: MvPoly) -> EulerSyzygy:
-    """Syzygy of degree delta = 3(d-1) - deg F for a surface map (m=2, n=3)."""
+def euler_syzygy(inp: RationalMapInput, F: MvPoly, minors3=None) -> EulerSyzygy:
+    """Syzygy of degree delta = 3(d-1) - deg F for a surface map (m=2, n=3).
+
+    D_i is (-1)^i times the 3-minor on the rows other than i; `minors3`, in
+    the order `minors` returns them, saves recomputing the determinants.
+    """
     if inp.m != 2 or inp.n != 3:
         raise ValueError("the Euler syzygy construction needs m = 2, n = 3")
     if isinstance(inp.field, PrimeField) and inp.d % inp.field.p == 0:
         raise CharDividesDegree("construction invalid when p divides d")
-    jac = build_jacobian(inp)
-    D = []
-    for i in range(4):
-        rows = [jac[k] for k in range(4) if k != i]
-        det = _det(rows)
-        D.append(det if i % 2 == 0 else -det)
+    if minors3 is None:
+        minors3 = minors(build_jacobian(inp), 3)
+    # minors3[k] leaves out row 3 - k.
+    D = [minors3[3 - i].poly if i % 2 == 0 else -minors3[3 - i].poly
+         for i in range(4)]
     a = []
     for di in D:
         if di.is_zero():
@@ -243,7 +244,7 @@ def fitting_invariance_check(inp: RationalMapInput, change, F=None, seed=None) -
     size = inp.n + 1
     if len(C) != size or any(len(r) != size for r in C):
         raise SingularChange(f"change of basis must be {size}x{size}")
-    if not is_invertible(Fld, C):
+    if rank(Fld, C) != size:
         raise SingularChange("change of basis is singular")
     if F is None:
         F = gcd_of_minors(minors(build_jacobian(inp), 3))
@@ -259,11 +260,12 @@ def fitting_invariance_check(inp: RationalMapInput, change, F=None, seed=None) -
 
 
 def generic_finiteness_check(inp: RationalMapInput, trials: int = 12, seed: int = 0,
-                             jac=None):
+                             jac=None, minors3=None):
     """(I_{m+1}(J) != 0, I_3(J) != 0) flags.
 
     Random evaluations give nonvanishing certificates; if every trial fails,
-    the answer falls back to exact symbolic minor expansion.
+    the answer falls back to exact symbolic minor expansion, reusing
+    `minors3` (the 3-minors of jac) when given.
     """
     if jac is None:
         jac = build_jacobian(inp)
@@ -273,8 +275,6 @@ def generic_finiteness_check(inp: RationalMapInput, trials: int = 12, seed: int 
     best = 0
     for _ in range(trials):
         q = [F.rand(rng) for _ in range(ncols)]
-        if all(F.is_zero(x) for x in q):
-            continue
         numeric = [[entry.evaluate(q) for entry in row] for row in jac]
         best = max(best, rank(F, numeric))
         if best >= min(nrows, ncols):
@@ -285,6 +285,7 @@ def generic_finiteness_check(inp: RationalMapInput, trials: int = 12, seed: int 
             return False
         if best >= s:
             return True
-        return any(not mn.poly.is_zero() for mn in minors(jac, s))
+        ms = minors3 if s == 3 and minors3 is not None else minors(jac, s)
+        return any(not mn.poly.is_zero() for mn in ms)
 
     return nonzero_exact(ncols), nonzero_exact(3)

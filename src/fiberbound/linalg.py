@@ -52,17 +52,3 @@ def kernel_basis(F, rows: list, ncols: int) -> list:
         basis.append(v)
     return basis
 
-
-def is_invertible(F, rows: list) -> bool:
-    n = len(rows)
-    return all(len(r) == n for r in rows) and rank(F, rows) == n
-
-
-def mat_vec(F, rows: list, v: list) -> list:
-    out = []
-    for r in rows:
-        acc = F.zero
-        for x, y in zip(r, v):
-            acc = F.add(acc, F.mul(x, y))
-        out.append(acc)
-    return out

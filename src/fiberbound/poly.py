@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ArityMismatch, NotDivisible
+from .univariate import u_mul, u_reduce
 
 
 def grlex_key(exps: tuple) -> tuple:
@@ -289,6 +290,7 @@ class MvPoly:
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ArityMismatch("line endpoints must match the variable count")
         F = self.field
+        p = F.char
         deg = max((sum(e) for e in self.terms), default=0)
         # powers[j][k] = dense coefficients of (a_j + t b_j)^k
         maxes = [0] * self.nvars
@@ -301,19 +303,17 @@ class MvPoly:
             lin = [a[j], b[j]]
             row = [[F.one]]
             for _ in range(maxes[j]):
-                row.append(_u_mul(F, row[-1], lin))
+                row.append(u_reduce(u_mul(row[-1], lin), p))
             powers.append(row)
         acc = [F.zero] * (deg + 1)
         for e, c in self.terms.items():
             term = [c]
             for j, k in enumerate(e):
                 if k:
-                    term = _u_mul(F, term, powers[j][k])
+                    term = u_mul(term, powers[j][k])
             for i, v in enumerate(term):
-                acc[i] = F.add(acc[i], v)
-        while acc and F.is_zero(acc[-1]):
-            acc.pop()
-        return acc
+                acc[i] += v
+        return u_reduce(acc, p)
 
     # -- comparisons and printing ----------------------------------------------
 
@@ -359,16 +359,3 @@ class MvPoly:
 
     def __repr__(self) -> str:
         return f"MvPoly({self.to_str()})"
-
-
-def _u_mul(F, a: list, b: list) -> list:
-    """Dense univariate product (helper shared with the univariate module)."""
-    if not a or not b:
-        return []
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if F.is_zero(ca):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-    return out

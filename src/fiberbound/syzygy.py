@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import NoSyzygyFound, SyzygyCheckFailed
 from .jacobian import RationalMapInput
 from .linalg import kernel_basis
 from .poly import MvPoly, grlex_key
@@ -78,7 +79,7 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
         for ai, fi in zip(tup, inp.f):
             combo = combo + ai * fi
         if not combo.is_zero():
-            raise AssertionError("kernel vector failed symbolic re-verification")
+            raise SyzygyCheckFailed("kernel vector failed symbolic re-verification")
         basis.append(tup)
     return GradedKernelBasis(degree=nu, basis=basis, dimension=len(basis))
 
@@ -88,12 +89,20 @@ def indeg_syzygy(inp: RationalMapInput, cap: int | None = None) -> IndegResult:
     Koszul relation f_j e_i - f_i e_j makes the search always succeed."""
     if cap is None:
         cap = inp.d
+    dims = (graded_syzygy_kernel(inp, nu).dimension for nu in range(cap + 1))
+    return indeg_from_dimensions(inp, dims, cap)
+
+
+def indeg_from_dimensions(inp: RationalMapInput, dims, cap: int) -> IndegResult:
+    """Initial degree from the kernel dimensions in degrees 0..cap, in order.
+
+    Stops at the first nonzero dimension, so `dims` may be a lazy iterable.
+    """
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    for nu in range(cap + 1):
-        k = graded_syzygy_kernel(inp, nu)
-        if k.dimension > 0:
+    for nu, dim in enumerate(dims):
+        if dim > 0:
             return IndegResult(indeg=nu, searched_up_to=nu)
     if cap >= inp.d and inp.n >= 1:
-        raise AssertionError("no syzygy found up to d despite the Koszul guarantee")
+        raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
     return IndegResult(indeg=None, searched_up_to=cap)

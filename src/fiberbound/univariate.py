@@ -1,97 +1,135 @@
-"""Dense univariate arithmetic over the session field, plus F_p root finding.
+"""Dense univariate arithmetic, plus F_p root finding.
 
-Polynomials here are plain lists of field elements, ascending by degree,
-with no trailing zeros.  Root finding follows the classical route: split off
-the product of linear factors with gcd(a, t^p - t), then separate the roots
-by randomised equal-degree descent, finishing degree-2 pieces with the
-quadratic formula.  All randomness flows through an explicit seed, so
-results are reproducible.
+Polynomials here are plain lists of coefficients, ascending by degree, with
+no trailing zeros.  One kernel set serves both fields and is keyed on the
+characteristic p (`F.char`): over F_p the coefficients are ints reduced
+into [0, p), and over the rationals (p = 0) they are Fractions.  The
+kernels do plain int or Fraction arithmetic, never dispatching through the
+field object, and reduce mod p once per result; `u_mul` leaves its product
+unreduced, so a multiply-then-divide reduces only once.
 
-The prime-field case runs on raw ints (no field-method dispatch); the
-generic code path serves the rationals.
+Root finding follows the classical route: split off the product of linear
+factors with gcd(a, t^p - t), then separate the roots by randomised
+equal-degree descent, finishing degree-2 pieces with the quadratic formula.
+All randomness flows through an explicit seed, so results are reproducible.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import RationalModeUnsupported
-from .fields import PrimeField
-from .poly import MvPoly
+
+if TYPE_CHECKING:
+    from .poly import MvPoly
 
 
-# -- raw int kernels for F_p --------------------------------------------------
-
-def _ptrim(a: list) -> list:
-    while a and a[-1] == 0:
+def u_trim(a: list) -> list:
+    while a and not a[-1]:
         a.pop()
     return a
 
 
-def _pmul(a: list, b: list, p: int) -> list:
+def u_reduce(a: list, p: int) -> list:
+    """a with its coefficients reduced mod p (kept as they are when p = 0), trimmed."""
+    return u_trim([x % p for x in a] if p else a)
+
+
+def u_deg(a: list) -> int:
+    return len(a) - 1
+
+
+def _inv(c, p: int):
+    return pow(c, -1, p) if p else 1 / Fraction(c)
+
+
+def u_sub(a: list, b: list, p: int) -> list:
+    out = list(a) + [0] * max(len(b) - len(a), 0)
+    for i, y in enumerate(b):
+        out[i] -= y
+    return u_reduce(out, p)
+
+
+def u_mul(a: list, b: list) -> list:
+    """Product with unreduced coefficients (reduce with u_reduce or u_rem)."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
-                out[i + j] = (out[i + j] + ca * b[j]) % p
+                out[i + j] += ca * cb
     return out
 
 
-def _pdivmod(a: list, b: list, p: int) -> tuple[list, list]:
+def u_monic(a: list, p: int) -> list:
+    if not a:
+        return a
+    inv = _inv(a[-1], p)
+    return u_reduce([x * inv for x in a], p)
+
+
+def u_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder; a may have unreduced coefficients, and the
+    remainder is reduced mod p only at the end."""
     if not b:
         raise ZeroDivisionError("univariate division by zero")
-    r = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv = pow(b[-1], -1, p)
     nb = len(b)
-    while len(r) >= nb:
-        c = r[-1] * inv % p
-        k = len(r) - nb
+    r = list(a)
+    q = [0] * max(len(r) - nb + 1, 0)
+    inv = _inv(b[-1], p)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + nb - 1] * inv
+        if p:
+            c %= p
         q[k] = c
-        for i in range(nb - 1):
-            r[k + i] = (r[k + i] - b[i] * c) % p
-        r.pop()
-        _ptrim(r)
-    return _ptrim(q), r
+        if c:
+            for i in range(nb - 1):
+                r[k + i] -= b[i] * c
+    return u_trim(q), u_reduce(r[:nb - 1], p)
 
 
-def _prem_list(a: list, b: list, p: int) -> list:
-    nb = len(b)
-    if len(a) < nb:
-        return list(a)
-    r = list(a)
-    inv = pow(b[-1], -1, p)
-    while len(r) >= nb:
-        c = r[-1] * inv % p
-        k = len(r) - nb
-        for i in range(nb - 1):
-            r[k + i] = (r[k + i] - b[i] * c) % p
-        r.pop()
-        _ptrim(r)
-    return r
+def u_rem(a: list, b: list, p: int) -> list:
+    return u_divmod(a, b, p)[1]
 
 
-def _pgcd(a: list, b: list, p: int) -> list:
+def u_gcd(a: list, b: list, p: int) -> list:
+    """Monic Euclidean gcd."""
     a, b = list(a), list(b)
     while b:
-        a, b = b, _prem_list(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
+        a, b = b, u_rem(a, b, p)
+    return u_monic(a, p)
 
 
-def _ppowmod(base: list, e: int, mod: list, p: int) -> list:
+def u_mulmod(a: list, b: list, mod: list, p: int) -> list:
+    return u_rem(u_mul(a, b), mod, p)
+
+
+def u_powmod(base: list, e: int, mod: list, p: int) -> list:
     result = [1]
-    base = _prem_list(base, mod, p)
+    base = u_rem(base, mod, p)
     while e:
         if e & 1:
-            result = _prem_list(_pmul(result, base, p), mod, p)
-        base = _prem_list(_pmul(base, base, p), mod, p)
+            result = u_mulmod(result, base, mod, p)
+        base = u_mulmod(base, base, mod, p)
         e >>= 1
     return result
+
+
+def u_invmod(a: list, mod: list, p: int) -> list:
+    """Inverse of a modulo mod (must be coprime)."""
+    r0, r1 = list(mod), u_rem(a, mod, p)
+    s0, s1 = [], [1]
+    while r1:
+        q, r = u_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, u_sub(s0, u_mul(q, s1), p)
+    if u_deg(r0) != 0:
+        raise ZeroDivisionError("element not invertible modulo the given polynomial")
+    inv = _inv(r0[0], p)
+    return u_reduce([x * inv for x in s0], p)
 
 
 def sqrt_mod(a: int, p: int) -> int | None:
@@ -123,150 +161,16 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-# -- generic API (dispatches to the int kernels over F_p) ---------------------
-
-def u_trim(F, a: list) -> list:
-    while a and F.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
-def u_deg(a: list) -> int:
-    return len(a) - 1
-
-
-def u_is_zero(a: list) -> bool:
-    return not a
-
-
-def u_add(F, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero
-        y = b[i] if i < len(b) else F.zero
-        out.append(F.add(x, y))
-    return u_trim(F, out)
-
-
-def u_sub(F, a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero
-        y = b[i] if i < len(b) else F.zero
-        out.append(F.sub(x, y))
-    return u_trim(F, out)
-
-
-def u_scale(F, a: list, c) -> list:
-    if F.is_zero(c):
-        return []
-    return [F.mul(x, c) for x in a]
-
-
-def u_monic(F, a: list) -> list:
-    if not a:
-        return a
-    return u_scale(F, a, F.inv(a[-1]))
-
-
-def u_mul(F, a: list, b: list) -> list:
-    if isinstance(F, PrimeField):
-        return _pmul(a, b, F.p)
-    if not a or not b:
-        return []
-    out = [F.zero] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if F.is_zero(ca):
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = F.add(out[i + j], F.mul(ca, cb))
-    return u_trim(F, out)
-
-
-def u_divmod(F, a: list, b: list) -> tuple[list, list]:
-    if isinstance(F, PrimeField):
-        return _pdivmod(a, b, F.p)
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    r = list(a)
-    q = [F.zero] * max(len(a) - len(b) + 1, 0)
-    inv_lb = F.inv(b[-1])
-    while len(r) >= len(b):
-        c = F.mul(r[-1], inv_lb)
-        k = len(r) - len(b)
-        q[k] = c
-        for i, bc in enumerate(b):
-            r[k + i] = F.sub(r[k + i], F.mul(bc, c))
-        u_trim(F, r)
-    return u_trim(F, q), r
-
-
-def u_rem(F, a: list, b: list) -> list:
-    if isinstance(F, PrimeField):
-        return _prem_list(a, b, F.p)
-    return u_divmod(F, a, b)[1]
-
-
-def u_gcd(F, a: list, b: list) -> list:
-    """Monic Euclidean gcd."""
-    if isinstance(F, PrimeField):
-        return _pgcd(a, b, F.p)
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, u_rem(F, a, b)
-    return u_monic(F, a)
-
-
-def u_eval(F, a: list, x):
-    acc = F.zero
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
-
-
-def u_mulmod(F, a: list, b: list, mod: list) -> list:
-    return u_rem(F, u_mul(F, a, b), mod)
-
-
-def u_powmod(F, base: list, e: int, mod: list) -> list:
-    if isinstance(F, PrimeField):
-        return _ppowmod(base, e, mod, F.p)
-    result = [F.one]
-    base = u_rem(F, base, mod)
-    while e:
-        if e & 1:
-            result = u_mulmod(F, result, base, mod)
-        base = u_mulmod(F, base, base, mod)
-        e >>= 1
-    return result
-
-
-def u_invmod(F, a: list, mod: list) -> list:
-    """Inverse of a modulo mod (must be coprime)."""
-    r0, r1 = list(mod), u_rem(F, a, mod)
-    s0, s1 = [], [F.one]
-    while r1:
-        q, r = u_divmod(F, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, u_sub(F, s0, u_mul(F, q, s1))
-    if u_deg(r0) != 0:
-        raise ZeroDivisionError("element not invertible modulo the given polynomial")
-    return u_trim(F, u_scale(F, s0, F.inv(r0[0])))
-
-
 def mvpoly_to_univariate(a: MvPoly) -> tuple[int, list]:
     """(variable index, dense coefficients) for a polynomial in at most one variable."""
     vs = a.variables_present()
     if len(vs) > 1:
         raise ValueError("polynomial involves more than one variable")
     v = vs[0] if vs else 0
-    F = a.field
-    coeffs = [F.zero] * (a.degree_in(v) + 1 if a.terms else 0)
+    coeffs = [a.field.zero] * (a.degree_in(v) + 1 if a.terms else 0)
     for e, c in a.terms.items():
         coeffs[e[v]] = c
-    return v, u_trim(F, coeffs)
+    return v, u_trim(coeffs)
 
 
 def _roots_of_splitting(p: int, g: list, rng: random.Random) -> list:
@@ -291,38 +195,26 @@ def _roots_of_splitting(p: int, g: list, rng: random.Random) -> list:
             continue
         while True:
             c = rng.randrange(p)
-            w = _ppowmod([c, 1], half, g, p)
-            w = _ptrim([(w[0] - 1) % p] + w[1:] if w else [p - 1])
-            d = _pgcd(w, g, p)
+            w = u_sub(u_powmod([c, 1], half, g, p), [1], p)
+            d = u_gcd(w, g, p)
             if 0 < u_deg(d) < dg:
                 stack.append(d)
-                stack.append(_pdivmod(g, d, p)[0])
+                stack.append(u_divmod(g, d, p)[0])
                 break
     return roots
 
 
-def u_roots(F: PrimeField, a: list, seed: int = 0) -> list:
+def u_roots(F, a: list, seed: int = 0) -> list:
     """All roots in F_p of a nonzero dense polynomial, sorted ascending."""
-    if u_is_zero(a):
+    if not a:
         raise ValueError("root finding needs a nonzero polynomial")
-    p = F.p
-    rng = random.Random(seed)
-    roots = []
-    a = _ptrim([x % p for x in a])
-    if a and a[0] == 0:
-        roots.append(0)
-        while a and a[0] == 0:
-            a = a[1:]
+    p = F.char
+    a = u_reduce(a, p)
     if u_deg(a) <= 0:
-        return sorted(roots)
-    inv = pow(a[-1], -1, p)
-    a = [x * inv % p for x in a]
-    xp = _ppowmod([0, 1], p, a, p)
-    xp_minus_t = _ptrim([xp[0]] + [(xp[1] - 1) % p] + xp[2:]
-                        if len(xp) >= 2 else [xp[0] if xp else 0, p - 1])
-    g = _pgcd(xp_minus_t, a, p)
-    roots.extend(_roots_of_splitting(p, g, rng))
-    return sorted(roots)
+        return []
+    a = u_monic(a, p)
+    g = u_gcd(u_sub(u_powmod([0, 1], p, a, p), [0, 1], p), a, p)
+    return sorted(_roots_of_splitting(p, g, random.Random(seed)))
 
 
 def univariate_roots(a: MvPoly, seed: int = 0) -> list:
@@ -331,39 +223,24 @@ def univariate_roots(a: MvPoly, seed: int = 0) -> list:
     Deterministic for a given seed.  Raises RationalModeUnsupported when the
     session field is the rationals.
     """
-    if not isinstance(a.field, PrimeField):
+    if not a.field.char:
         raise RationalModeUnsupported("root finding requires a prime field")
     _, coeffs = mvpoly_to_univariate(a)
     return u_roots(a.field, coeffs, seed)
 
 
-def strip_rational_roots(F: PrimeField, a: list, roots: list) -> list:
-    """Divide out (t - r) to full multiplicity for each given root."""
-    a = list(a)
-    for r in roots:
-        factor = [F.neg(r), F.one]
-        while True:
-            q, rem = u_divmod(F, a, factor)
-            if u_is_zero(rem) and not u_is_zero(q):
-                a = q
-            else:
-                break
-    return a
-
-
-def irreducible_quadratics(F: PrimeField, a: list, seed: int = 0) -> list:
-    """Monic irreducible quadratic factors of a (a must have no roots in F_p)."""
+def irreducible_quadratics(F, a: list, seed: int = 0) -> list:
+    """Monic irreducible quadratic factors of a, each listed once."""
     if u_deg(a) < 2:
         return []
-    p = F.p
-    inv = pow(a[-1], -1, p)
-    a = [x * inv % p for x in a]
-    # Product of all distinct irreducible quadratic factors: gcd with t^(p^2) - t.
-    xp = _ppowmod([0, 1], p, a, p)
-    xp2 = _ppowmod(xp, p, a, p)
-    diff = list(xp2) + [0] * max(0, 2 - len(xp2))
-    diff[1] = (diff[1] - 1) % p
-    w = _pgcd(_ptrim(diff), a, p)
+    p = F.char
+    a = u_monic(a, p)
+    # gcd with t^(p^2) - t is the product of the distinct irreducible factors
+    # of degree 1 and 2; dividing out gcd with t^p - t leaves the quadratics.
+    xp = u_powmod([0, 1], p, a, p)
+    linear = u_gcd(u_sub(xp, [0, 1], p), a, p)
+    w = u_gcd(u_sub(u_powmod(xp, p, a, p), [0, 1], p), a, p)
+    w = u_divmod(w, linear, p)[0]
     if u_deg(w) < 2:
         return []
     rng = random.Random(seed)
@@ -373,15 +250,12 @@ def irreducible_quadratics(F: PrimeField, a: list, seed: int = 0) -> list:
         if u_deg(g) == 2:
             return [g]
         while True:
-            h = _ptrim([rng.randrange(p) for _ in range(u_deg(g))])
+            h = u_trim([rng.randrange(p) for _ in range(u_deg(g))])
             if u_deg(h) < 1:
                 continue
-            w1 = _ppowmod(h, half, g, p)
-            w1 = list(w1) + [0] * max(0, 1 - len(w1))
-            w1[0] = (w1[0] - 1) % p
-            d = _pgcd(_ptrim(w1), g, p)
+            d = u_gcd(u_sub(u_powmod(h, half, g, p), [1], p), g, p)
             if 0 < u_deg(d) < u_deg(g):
-                other = _pdivmod(g, d, p)[0]
+                other = u_divmod(g, d, p)[0]
                 return split(d) + split(other)
 
     return split(w)

@@ -4,6 +4,8 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from fiberbound.cli import main, run_selftest
 from fiberbound.fixtures import FIXTURES, Fixture, make_example2
 from fiberbound.jacobian import RationalMapInput
@@ -138,3 +140,56 @@ def test_dependent_fixture_warning(capsys):
     assert code == 0
     assert "linearly dependent" in out
     assert "deg F = 6" in out
+
+
+def test_analyze_json_dependent_over_rationals(tmp_path, capsys):
+    text = (MAPS / "cube_dependent.map").read_text()
+    qmap = tmp_path / "cube_dependent_q.map"
+    qmap.write_text("".join("field rational\n" if ln.startswith("field") else ln
+                            for ln in text.splitlines(True)))
+    code, out, _ = run_cli(["analyze", "--json", str(qmap)], capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["dependent"] is True and d["p"] is None
+    assert all(isinstance(c, str) for c in d["relation"])
+
+
+def test_syzygy_command_builds_each_kernel_once(monkeypatch, capsys):
+    import fiberbound.cli as cli_mod
+    import fiberbound.syzygy as syz_mod
+    calls = []
+    real = syz_mod.graded_syzygy_kernel
+
+    def counting(inp, nu):
+        calls.append(nu)
+        return real(inp, nu)
+
+    monkeypatch.setattr(syz_mod, "graded_syzygy_kernel", counting)
+    monkeypatch.setattr(cli_mod, "graded_syzygy_kernel", counting)
+    cap = 3
+    code, out, _ = run_cli(["syzygy", str(MAPS / "example2.map"),
+                            "--max-degree", str(cap), "--json"], capsys)
+    assert code == 0
+    assert sorted(calls) == list(range(cap + 1))
+    d = json.loads(out)
+    assert d["indegSyz"] == 2 and d["searchedUpTo"] == 2
+    assert [row["dim"] for row in d["dimensions"]][:2] == [0, 0]
+
+
+def test_syzygy_failed_reverification_is_typed(monkeypatch, capsys):
+    import fiberbound.syzygy as syz_mod
+    from fiberbound import FiberboundError, NoSyzygyFound, SyzygyCheckFailed
+
+    def not_a_kernel(F, rows, ncols):
+        return [[F.one] + [F.zero] * (ncols - 1)]
+
+    monkeypatch.setattr(syz_mod, "kernel_basis", not_a_kernel)
+    with pytest.raises(SyzygyCheckFailed) as info:
+        syz_mod.graded_syzygy_kernel(make_example2(), 0)
+    assert isinstance(info.value, FiberboundError)
+    code, _, err = run_cli(["syzygy", str(MAPS / "example2.map"),
+                            "--max-degree", "1"], capsys)
+    assert code == 1 and "re-verification" in err
+    monkeypatch.setattr(syz_mod, "kernel_basis", lambda F, rows, ncols: [])
+    with pytest.raises(NoSyzygyFound):
+        syz_mod.indeg_syzygy(make_example2())

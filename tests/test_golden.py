@@ -1,0 +1,37 @@
+"""`analyze --json` output pinned byte for byte, per map file and field.
+
+The files under tests/golden/ hold the exact stdout of
+`fiberbound analyze --json --seed 42 --budget 40` on the six maps/ files over
+F_p and on the same files rewritten to `field rational`.  Any change to a
+reported value, a key, the ordering or the formatting shows up here.
+"""
+
+import pathlib
+
+import pytest
+
+from fiberbound.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MAPS = sorted(p.stem for p in (ROOT / "maps").glob("*.map"))
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _rational(text: str) -> str:
+    return "".join("field rational\n" if ln.startswith("field") else ln
+                   for ln in text.splitlines(True))
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["fp", "q"])
+@pytest.mark.parametrize("name", MAPS)
+def test_analyze_json_matches_golden(name, rational, tmp_path, capsys):
+    path = ROOT / "maps" / f"{name}.map"
+    if rational:
+        path = tmp_path / f"{name}.map"
+        path.write_text(_rational((ROOT / "maps" / f"{name}.map").read_text()))
+    code = main(["analyze", "--json", "--seed", "42", "--budget", "40",
+                 str(path)])
+    out = capsys.readouterr().out
+    suffix = "_rational" if rational else ""
+    assert code == 0
+    assert out == (GOLDEN / f"{name}{suffix}.json").read_text()
