@@ -11,7 +11,7 @@ together with the syzygy-refined bound deg F <= 3(d-1) - indeg(Syz(I)).
 
 from .analysis import AnalysisReport, run_analysis
 from .errors import (AllCombinationsZero, AllMinorsZero, ArityMismatch,
-                     BadPoint, BasePointError, ChainViolation,
+                     BadInput, BadPoint, BasePointError, ChainViolation,
                      CharDividesDegree, CommonFactor, FDoesNotDivideMinor,
                      FiberboundError, MixedDegrees, NoSyzygyFound,
                      NotDivisible, NotHomogeneous, ParseError, PthPowerHazard,

@@ -20,9 +20,9 @@ from .syzygy import IndegResult, indeg_syzygy
 from .poly import MvPoly
 
 
-def _json_scalars(F, values) -> list:
+def json_scalars(F, values) -> list:
     """Field elements for JSON: balanced ints over F_p, strings over Q."""
-    if isinstance(F, PrimeField):
+    if F.char:
         return [F.lift_balanced(c) for c in values]
     return [str(c) for c in values]
 
@@ -58,7 +58,7 @@ class AnalysisReport:
         names = inp.varnames
         jr = self.jacobian
         d = {
-            "p": F.p if isinstance(F, PrimeField) else None,
+            "p": F.char or None,
             "m": inp.m,
             "n": inp.n,
             "d": inp.d,
@@ -71,7 +71,7 @@ class AnalysisReport:
             "minorCount": len(jr.minors3),
             "nonzeroMinorCount": sum(1 for m in jr.minors3 if not m.poly.is_zero()),
             "dependent": self.dependent,
-            "relation": (_json_scalars(F, self.relation)
+            "relation": (json_scalars(F, self.relation)
                          if self.relation is not None else None),
             "eulerSyzygy": ({"delta": self.euler.delta,
                              "aDegrees": [a.total_degree() for a in self.euler.a]}
@@ -97,7 +97,7 @@ class AnalysisReport:
         if disc is not None:
             for r in disc.records:
                 fibers.append({
-                    "y": _json_scalars(F, r.y.coords),
+                    "y": json_scalars(F, r.y.coords),
                     "h": r.h.to_str(names),
                     "degH": r.deg_h,
                     "weightedDeg": r.weighted_deg,
@@ -127,8 +127,7 @@ class AnalysisReport:
         names = inp.varnames
         jr = self.jacobian
         out = []
-        fld = (f"F_{inp.field.p}" if isinstance(inp.field, PrimeField)
-               else "Q")
+        fld = f"F_{inp.field.char}" if inp.field.char else "Q"
         out.append(f"rational map P^{inp.m} --> P^{inp.n} over {fld}, degree d = {inp.d}")
         for i, fi in enumerate(inp.f):
             out.append(f"  f{i} = {fi.to_str(names)}")
@@ -185,8 +184,7 @@ def _reduce_mod_second_prime(inp: RationalMapInput, p2: int) -> RationalMapInput
 
 def choose_second_prime(inp: RationalMapInput) -> int:
     p2 = SECOND_PRIME
-    p1 = inp.field.p if isinstance(inp.field, PrimeField) else None
-    while p2 == p1 or inp.d % p2 == 0 or not is_prime(p2):
+    while p2 == inp.field.char or inp.d % p2 == 0 or not is_prime(p2):
         p2 -= 2
     return p2
 
@@ -238,13 +236,13 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
                                 "points with non-rational image")
 
     second = None
-    if second_prime and isinstance(inp.field, PrimeField):
+    if second_prime and inp.field.char:
         p2 = choose_second_prime(inp)
         jr2 = jacobian_report(_reduce_mod_second_prime(inp, p2))
         second = (p2, jr2.degF)
         if jr2.degF != jr.degF:
             warnings.append(f"unlucky prime suspected: deg F = {jr.degF} mod "
-                            f"{inp.field.p} but {jr2.degF} mod {p2}")
+                            f"{inp.field.char} but {jr2.degF} mod {p2}")
 
     return AnalysisReport(inp=inp, jacobian=jr, dependent=dependent,
                           relation=relation, euler=euler, indeg=indeg,

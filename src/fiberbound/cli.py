@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 
-from .analysis import run_analysis
-from .errors import BadPoint, FiberboundError
+from .analysis import json_scalars, run_analysis
+from .errors import BadInput, BadPoint, FiberboundError
 from .fibers import ProjectivePoint, fiber_equation, tangent_rank_check
 from .fixtures import FIXTURES
 from .gcd import squarefree_decompose
@@ -25,8 +25,14 @@ EXIT_VIOLATION = 2
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_map_file(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise BadInput(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path} is not UTF-8 text: {exc}") from exc
+    return parse_map_file(text)
 
 
 def _parse_point(text: str, field, expected_len: int) -> ProjectivePoint:
@@ -37,7 +43,7 @@ def _parse_point(text: str, field, expected_len: int) -> ProjectivePoint:
         coords = [int(p) for p in parts]
     except ValueError as exc:
         raise BadPoint(f"coordinates must be integers: {exc}") from exc
-    if all(field.is_zero(field.conv(c)) for c in coords):
+    if not any(field.conv(c) for c in coords):
         raise BadPoint("point must have a nonzero coordinate")
     return ProjectivePoint.create(field, coords)
 
@@ -59,7 +65,7 @@ def cmd_fiber(args) -> int:
     weighted = sum((2 * e - 1) * p.total_degree() for p, e in sq)
     names = inp.varnames
     if args.json:
-        out = {"y": [inp.field.lift_balanced(c) for c in y.coords],
+        out = {"y": json_scalars(inp.field, y.coords),
                "h": h.to_str(names), "degH": deg, "weightedDeg": weighted,
                "sqfree": [[p.to_str(names), e] for p, e in sq]}
         print(json.dumps(out, sort_keys=True, indent=2))
@@ -192,13 +198,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_nonnegative(args) -> None:
+    # argparse would exit with 2, which here means a degree-bound violation.
+    for option in ("budget", "max_degree"):
+        value = getattr(args, option, None)
+        if value is not None and value < 0:
+            raise BadInput(f"--{option.replace('_', '-')} must be nonnegative, "
+                           f"got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_nonnegative(args)
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except FiberboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -61,6 +61,10 @@ class BadPoint(FiberboundError):
     """A point argument could not be parsed or has the wrong arity."""
 
 
+class BadInput(FiberboundError):
+    """A command-line argument, or the map file it names, cannot be used."""
+
+
 class NotHomogeneous(FiberboundError):
     """An input form mixes terms of different total degrees."""
 

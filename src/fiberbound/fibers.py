@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .errors import (AllCombinationsZero, BasePointError, ChainViolation,
                      CharDividesDegree, RationalModeUnsupported)
-from .fields import PrimeField
 from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
 from .jacobian import RationalMapInput, build_jacobian, minors
 from .linalg import rank
@@ -42,20 +41,17 @@ class ProjectivePoint:
 
     @classmethod
     def create(cls, field, coords) -> "ProjectivePoint":
+        p = field.char
         coords = tuple(field.conv(c) if isinstance(c, int) else c for c in coords)
-        pivot = None
-        for c in coords:
-            if not field.is_zero(c):
-                pivot = c
-                break
+        pivot = next((c for c in coords if c), None)
         if pivot is None:
             raise ValueError("projective point needs a nonzero coordinate")
         inv = field.inv(pivot)
-        return cls(tuple(field.mul(c, inv) for c in coords))
+        return cls(tuple(c * inv % p if p else c * inv for c in coords))
 
     def pivot_index(self, field) -> int:
         for i, c in enumerate(self.coords):
-            if not field.is_zero(c):
+            if c:
                 return i
         raise ValueError("zero point")
 
@@ -114,8 +110,8 @@ def fiber_equation(inp: RationalMapInput, y, pivot: int | None = None) -> MvPoly
     if len(coords) != inp.n + 1:
         raise ValueError(f"point must have {inp.n + 1} coordinates")
     if pivot is None:
-        pivot = next(i for i, c in enumerate(coords) if not F.is_zero(c))
-    elif F.is_zero(coords[pivot]):
+        pivot = next(i for i, c in enumerate(coords) if c)
+    elif not coords[pivot]:
         raise ValueError("pivot coordinate must be nonzero")
     ell = inp.f[pivot].scale(F.inv(coords[pivot]))
     combos = []
@@ -143,7 +139,7 @@ def _random_line(field, nvars: int, rng: random.Random):
     while True:
         b = [field.rand(rng) for _ in range(nvars)]
         b[c] = field.zero
-        if any(not field.is_zero(x) for x in b):
+        if any(b):
             return a, b
 
 
@@ -163,8 +159,8 @@ def _line_roots(h: MvPoly, budget: int, seed: int):
         yield rng, a, b, u, roots
 
 
-def _point_on_line(F, a: list, b: list, t0) -> list:
-    return [F.add(ai, F.mul(t0, bi)) for ai, bi in zip(a, b)]
+def _point_on_line(p: int, a: list, b: list, t0) -> list:
+    return [(ai + t0 * bi) % p for ai, bi in zip(a, b)]
 
 
 def sample_hypersurface_points(h: MvPoly, budget: int, seed: int = 0) -> list:
@@ -173,11 +169,11 @@ def sample_hypersurface_points(h: MvPoly, budget: int, seed: int = 0) -> list:
     Deterministic per seed; may return fewer points than asked for.
     """
     F = h.field
-    if not isinstance(F, PrimeField):
+    if not F.char:
         raise RationalModeUnsupported("hypersurface sampling needs a prime field")
     if h.is_constant():
         raise ValueError("hypersurface sampling needs a nonconstant polynomial")
-    found = {ProjectivePoint.create(F, _point_on_line(F, a, b, t0))
+    found = {ProjectivePoint.create(F, _point_on_line(F.char, a, b, t0))
              for _, a, b, _, roots in _line_roots(h, budget, seed)
              for t0 in roots}
     return sorted(found, key=lambda pt: pt.coords)
@@ -187,7 +183,8 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
                     seed: int = 0) -> DiscoveryResult:
     """Find target points with (m-1)-dimensional fibers by sampling Z(squarefree(F))."""
     Fld = inp.field
-    if not isinstance(Fld, PrimeField):
+    p = Fld.char
+    if not p:
         raise RationalModeUnsupported("fiber discovery needs a prime field")
     if F.is_zero():
         raise ValueError("F must be nonzero")
@@ -223,9 +220,9 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
             degenerate += 1
             continue
         for t0 in roots:
-            x = _point_on_line(Fld, a, b, t0)
+            x = _point_on_line(p, a, b, t0)
             fvals = [fi.evaluate(x) for fi in inp.f]
-            if all(Fld.is_zero(v) for v in fvals):
+            if not any(fvals):
                 base_skips += 1
                 continue
             consider(fvals)
@@ -236,25 +233,25 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
         # Dividing each root out once keeps the modulus of the search small.
         rest = u
         for r in roots:
-            rest = u_divmod(rest, [-r % Fld.p, 1], Fld.p)[0]
+            rest = u_divmod(rest, [-r % p, 1], p)[0]
         quads = irreducible_quadratics(Fld, rest, seed=rng.randrange(1 << 30))
         if not quads:
             continue
         f_on_line = [fi.on_line(a, b) for fi in inp.f]
         for q in quads:
-            residues = [u_rem(fl, q, Fld.p) for fl in f_on_line]
+            residues = [u_rem(fl, q, p) for fl in f_on_line]
             pivot = next((k for k, r in enumerate(residues) if r), None)
             if pivot is None:
                 base_skips += 1
                 continue
-            inv = u_invmod(residues[pivot], q, Fld.p)
+            inv = u_invmod(residues[pivot], q, p)
             ys = []
             for r in residues:
-                prod = u_mulmod(r, inv, q, Fld.p)
+                prod = u_mulmod(r, inv, q, p)
                 if u_deg(prod) > 0:
                     nonrational += 1
                     break
-                ys.append(prod[0] if prod else Fld.zero)
+                ys.append(prod[0] if prod else 0)
             else:
                 consider(ys)
 
@@ -318,7 +315,8 @@ def tangent_rank_check(inp: RationalMapInput, q) -> RankCheck:
     when the characteristic does not divide d.
     """
     F = inp.field
-    if isinstance(F, PrimeField) and inp.d % F.p == 0:
+    p = F.char
+    if p and inp.d % p == 0:
         raise CharDividesDegree("rank relation needs p not dividing d")
     if not isinstance(q, ProjectivePoint):
         q = ProjectivePoint.create(F, q)
@@ -326,13 +324,13 @@ def tangent_rank_check(inp: RationalMapInput, q) -> RankCheck:
         raise ValueError(f"point must have {inp.nvars} coordinates")
     coords = q.coords
     fvals = [fi.evaluate(coords) for fi in inp.f]
-    if all(F.is_zero(v) for v in fvals):
+    if not any(fvals):
         raise BasePointError("point lies in the base locus")
-    jac_at_q = [[fi.derivative(j).evaluate(coords) for j in range(inp.nvars)]
-                for fi in inp.f]
+    jac_at_q = [[entry.evaluate(coords) for entry in row]
+                for row in build_jacobian(inp)]
     rank_j = rank(F, jac_at_q)
     c = q.pivot_index(F)
-    i0 = next(i for i, v in enumerate(fvals) if not F.is_zero(v))
+    i0 = next(i for i, v in enumerate(fvals) if v)
     dphi = []
     for i in range(inp.n + 1):
         if i == i0:
@@ -342,9 +340,8 @@ def tangent_rank_check(inp: RationalMapInput, q) -> RankCheck:
             if j == c:
                 continue
             # numerator of the quotient rule; the f_{i0}^2 denominator is a
-            # nonzero scalar and cannot change the rank
-            row.append(F.sub(F.mul(fvals[i0], jac_at_q[i][j]),
-                             F.mul(fvals[i], jac_at_q[i0][j])))
+            # nonzero scalar and cannot change the rank (rank reduces mod p)
+            row.append(fvals[i0] * jac_at_q[i][j] - fvals[i] * jac_at_q[i0][j])
         dphi.append(row)
     rank_d = rank(F, dphi)
     return RankCheck(rank_j=rank_j, rank_dphi=rank_d,

@@ -1,8 +1,10 @@
 """Coefficient fields: F_p for an odd machine-word prime, or exact rationals.
 
-Field elements are plain Python values (int residues in [0, p), or Fraction),
-so polynomial dictionaries stay cheap.  The field object carries the
-arithmetic.
+Field elements are plain Python values: int residues in [0, p) over F_p, or
+Fractions over the rationals.  Code does plain `+ - *` on them and keys on
+the characteristic `char` (p, or 0 for the rationals) to reduce mod p; the
+field object only describes the field: conversion, inverses, random
+elements and the balanced lift used for printing.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic modulo an odd prime p; elements are ints in [0, p)."""
+    """The field F_p for an odd prime p; elements are ints in [0, p)."""
 
     __slots__ = ("p",)
 
@@ -57,28 +59,10 @@ class PrimeField:
     def conv(self, n: int) -> int:
         return n % self.p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
-    def is_zero(self, a: int) -> bool:
-        return a % self.p == 0
 
     @property
     def zero(self) -> int:
@@ -110,7 +94,7 @@ class PrimeField:
 
 
 class RationalField:
-    """Exact rational arithmetic via fractions.Fraction."""
+    """The rationals; elements are fractions.Fraction values."""
 
     __slots__ = ()
 
@@ -121,28 +105,10 @@ class RationalField:
     def conv(self, n) -> Fraction:
         return Fraction(n)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     @property
     def zero(self) -> Fraction:

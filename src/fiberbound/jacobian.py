@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import (AllMinorsZero, ArityMismatch, CharDividesDegree,
                      CommonFactor, FDoesNotDivideMinor, MixedDegrees,
                      NotDivisible, NotHomogeneous, SingularChange, SOutOfRange)
-from .fields import PrimeField
 from .gcd import gcd_multivariate
 from .linalg import kernel_basis, rank
 from .poly import MvPoly
@@ -83,8 +82,9 @@ class RationalMapInput:
                 break
         if not g.is_constant():
             raise CommonFactor(g)
-        if isinstance(field, PrimeField) and d % field.p == 0:
-            raise CharDividesDegree(f"characteristic {field.p} divides degree {d}")
+        p = field.char
+        if p and d % p == 0:
+            raise CharDividesDegree(f"characteristic {p} divides degree {d}")
         return cls(field=field, varnames=varnames, f=polys)
 
 
@@ -194,7 +194,8 @@ def euler_syzygy(inp: RationalMapInput, F: MvPoly, minors3=None) -> EulerSyzygy:
     """
     if inp.m != 2 or inp.n != 3:
         raise ValueError("the Euler syzygy construction needs m = 2, n = 3")
-    if isinstance(inp.field, PrimeField) and inp.d % inp.field.p == 0:
+    p = inp.field.char
+    if p and inp.d % p == 0:
         raise CharDividesDegree("construction invalid when p divides d")
     if minors3 is None:
         minors3 = minors(build_jacobian(inp), 3)

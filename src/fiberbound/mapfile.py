@@ -215,8 +215,8 @@ def parse_map_file(text: str) -> RationalMapInput:
 
 def print_map_file(inp: RationalMapInput) -> str:
     """Render an input back to map-file text (reparses to an equal input)."""
-    if isinstance(inp.field, PrimeField):
-        lines = [f"field p={inp.field.p}"]
+    if inp.field.char:
+        lines = [f"field p={inp.field.char}"]
     else:
         lines = ["field rational"]
     lines.append("vars " + " ".join(inp.varnames))

@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials with exact coefficients.
 
 A polynomial is a mapping from exponent tuples (one entry per variable) to
-nonzero field elements; the zero polynomial has an empty term map.  Values
-are immutable after construction and every operation returns a new object,
-so polynomials can be shared freely between workers.
+nonzero field elements; the zero polynomial has an empty term map.  A
+coefficient is an int in [0, p) over F_p, or a Fraction over the rationals
+(p = field.char = 0).  The constructor is the one place that reduces mod p
+and drops zeros, so the operations accumulate plain, unreduced `+ - *`
+results and hand them to it.  Values are immutable after construction and
+every operation returns a new object, so polynomials can be shared freely
+between workers.
 
 The canonical term order everywhere is graded lexicographic: compare total
 degree first, then the exponent tuple lexicographically.
@@ -12,6 +16,7 @@ degree first, then the exponent tuple lexicographically.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import ArityMismatch, NotDivisible
@@ -29,10 +34,13 @@ class MvPoly:
     def __init__(self, field, nvars: int, terms=None):
         self.field = field
         self.nvars = nvars
-        if terms is None:
-            terms = {}
-        # Never store explicit zeros.
-        self.terms = {e: c for e, c in terms.items() if not field.is_zero(c)}
+        p = field.char
+        if not terms:
+            self.terms = {}
+        elif p:
+            self.terms = {e: r for e, c in terms.items() if (r := c % p)}
+        else:
+            self.terms = {e: c for e, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -113,21 +121,17 @@ class MvPoly:
         if isinstance(other, int):
             other = MvPoly.constant(self.field, self.nvars, other)
         self._check(other)
-        F = self.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = F.add(out.get(e, F.zero), c)
-            if F.is_zero(s):
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MvPoly(F, self.nvars, out)
+            # A first term is stored as it is: 0 + c would cost a new Fraction.
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+        return MvPoly(self.field, self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        F = self.field
-        return MvPoly(F, self.nvars, {e: F.neg(c) for e, c in self.terms.items()})
+        return MvPoly(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -139,20 +143,16 @@ class MvPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return self.scale(self.field.conv(other))
+            return self.scale(other)
         self._check(other)
-        F = self.field
         out: dict = {}
-        mul, add, is_zero = F.mul, F.add, F.is_zero
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(map(lambda a, b: a + b, e1, e2))
-                s = add(out.get(e, 0), mul(c1, c2)) if e in out else mul(c1, c2)
-                if is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MvPoly(F, self.nvars, out)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                prev = out.get(e)
+                out[e] = c if prev is None else prev + c
+        return MvPoly(self.field, self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -169,10 +169,7 @@ class MvPoly:
         return result
 
     def scale(self, c) -> "MvPoly":
-        F = self.field
-        if F.is_zero(c):
-            return MvPoly.zero(F, self.nvars)
-        return MvPoly(F, self.nvars, {e: F.mul(v, c) for e, v in self.terms.items()})
+        return MvPoly(self.field, self.nvars, {e: v * c for e, v in self.terms.items()})
 
     def shift(self, exps: Sequence[int]) -> "MvPoly":
         """Multiply by the monomial with the given exponent vector."""
@@ -210,8 +207,9 @@ class MvPoly:
         F = self.field
         if self.is_zero():
             return self
+        p = F.char
         lb = b.leading_monomial()
-        lbc = b.leading_coefficient()
+        inv = F.inv(b.leading_coefficient())
         rem = dict(self.terms)
         quo: dict = {}
         while rem:
@@ -219,16 +217,18 @@ class MvPoly:
             qe = tuple(a - c for a, c in zip(lr, lb))
             if any(x < 0 for x in qe):
                 raise NotDivisible("leading monomial not divisible")
-            qc = F.div(rem[lr], lbc)
+            qc = rem[lr] * inv % p if p else rem[lr] * inv
             quo[qe] = qc
-            # rem -= qc * X^qe * b
+            # rem -= qc * X^qe * b; zero tests need reduced values
             for e, c in b.terms.items():
-                t = tuple(a + c2 for a, c2 in zip(e, qe))
-                s = F.sub(rem.get(t, F.zero), F.mul(c, qc))
-                if F.is_zero(s):
-                    rem.pop(t, None)
-                else:
+                t = tuple(map(add, e, qe))
+                s = rem.get(t, 0) - c * qc
+                if p:
+                    s %= p
+                if s:
                     rem[t] = s
+                else:
+                    rem.pop(t, None)
         return MvPoly(F, self.nvars, quo)
 
     def divides(self, other: "MvPoly") -> bool:
@@ -244,19 +244,11 @@ class MvPoly:
         """Formal partial derivative with respect to variable j."""
         if not 0 <= j < self.nvars:
             raise IndexError(f"variable index {j} out of range")
-        F = self.field
-        out: dict = {}
-        for e, c in self.terms.items():
-            k = e[j]
-            if k == 0:
-                continue
-            nc = F.mul(c, F.conv(k))
-            if F.is_zero(nc):
-                continue
-            ne = e[:j] + (k - 1,) + e[j + 1:]
-            prev = out.get(ne)
-            out[ne] = nc if prev is None else F.add(prev, nc)
-        return MvPoly(F, self.nvars, out)
+        # Distinct exponents stay distinct after lowering e[j], so no two
+        # terms land on one monomial; a coefficient k*c = 0 mod p drops.
+        return MvPoly(self.field, self.nvars,
+                      {e[:j] + (e[j] - 1,) + e[j + 1:]: c * e[j]
+                       for e, c in self.terms.items() if e[j]})
 
     def evaluate(self, point: Sequence):
         """Exact value at a point (one field element per variable)."""
@@ -264,7 +256,8 @@ class MvPoly:
             raise ArityMismatch(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
         F = self.field
-        # Precompute the needed powers of each coordinate.
+        p = F.char
+        # Precompute the needed powers of each coordinate, reduced mod p.
         maxes = [0] * self.nvars
         for e in self.terms:
             for j, k in enumerate(e):
@@ -274,16 +267,15 @@ class MvPoly:
         for j in range(self.nvars):
             row = [F.one]
             for _ in range(maxes[j]):
-                row.append(F.mul(row[-1], point[j]))
+                row.append(row[-1] * point[j] % p if p else row[-1] * point[j])
             powers.append(row)
         acc = F.zero
         for e, c in self.terms.items():
-            v = c
             for j, k in enumerate(e):
                 if k:
-                    v = F.mul(v, powers[j][k])
-            acc = F.add(acc, v)
-        return acc
+                    c *= powers[j][k]
+            acc += c
+        return acc % p if p else acc
 
     def on_line(self, a: Sequence, b: Sequence) -> list:
         """Dense coefficients (ascending in t) of self restricted to t -> a + t*b."""

@@ -59,22 +59,17 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
     col = 0
     for fi in inp.f:
         for mu in source:
+            # e -> e + mu is injective, so each cell receives one coefficient.
             for e, c in fi.terms.items():
-                e2 = tuple(a + b for a, b in zip(e, mu))
-                rows[index[e2]][col] = F.add(rows[index[e2]][col], c)
+                rows[index[tuple(a + b for a, b in zip(e, mu))]][col] = c
             col += 1
     vectors = kernel_basis(F, rows, ncols)
     basis = []
+    k = len(source)
     for v in vectors:
-        tup = []
-        for i in range(len(inp.f)):
-            terms = {}
-            for k, mu in enumerate(source):
-                c = v[i * len(source) + k]
-                if not F.is_zero(c):
-                    terms[mu] = c
-            tup.append(MvPoly(F, nvars, terms))
-        tup = tuple(tup)
+        # Entry i of the syzygy holds the coefficients v[i*k:(i+1)*k].
+        tup = tuple(MvPoly(F, nvars, dict(zip(source, v[i * k:(i + 1) * k])))
+                    for i in range(len(inp.f)))
         combo = MvPoly.zero(F, nvars)
         for ai, fi in zip(tup, inp.f):
             combo = combo + ai * fi

@@ -154,6 +154,39 @@ def test_analyze_json_dependent_over_rationals(tmp_path, capsys):
     assert all(isinstance(c, str) for c in d["relation"])
 
 
+def test_fiber_json_over_rationals(tmp_path, capsys):
+    text = (MAPS / "example2.map").read_text()
+    qmap = tmp_path / "example2_q.map"
+    qmap.write_text("".join("field rational\n" if ln.startswith("field") else ln
+                            for ln in text.splitlines(True)))
+    code, out, _ = run_cli(["fiber", str(qmap), "--point", "2,0,-1,0",
+                            "--json"], capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["y"] == ["1", "0", "-1/2", "0"]
+
+
+@pytest.mark.parametrize("case", ["max-degree", "directory", "not-utf8",
+                                  "budget-analyze", "budget-selftest"])
+def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.map"
+    latin1.write_bytes("# caf\u00e9\n".encode("latin-1")
+                       + (MAPS / "family_d4.map").read_bytes())
+    argv, message = {
+        "max-degree": (["syzygy", str(MAPS / "example2.map"),
+                        "--max-degree", "-1"], "--max-degree"),
+        "directory": (["analyze", str(tmp_path)], "directory"),
+        "not-utf8": (["analyze", str(latin1)], "UTF-8"),
+        "budget-analyze": (["analyze", str(MAPS / "family_d4.map"), "--json",
+                            "--budget", "-3"], "--budget"),
+        "budget-selftest": (["selftest", "--budget", "-3"], "--budget"),
+    }[case]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
 def test_syzygy_command_builds_each_kernel_once(monkeypatch, capsys):
     import fiberbound.cli as cli_mod
     import fiberbound.syzygy as syz_mod

@@ -170,7 +170,7 @@ def test_euler_syzygy_dependent_cube(field):
     vals = [a.leading_coefficient() if not a.is_zero() else field.zero
             for a in es.a]
     scale = field.inv(vals[0])
-    assert [field.lift_balanced(field.mul(v, scale)) for v in vals] == \
+    assert [field.lift_balanced(v * scale) for v in vals] == \
         [1, 1, 0, -1]
 
 

@@ -1,10 +1,12 @@
 """Arithmetic kernel: ring operations, exact division, calculus, ordering."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from fiberbound import (ArityMismatch, MvPoly, NotDivisible, RationalField)
+from fiberbound import (ArityMismatch, MvPoly, NotDivisible, PrimeField,
+                        RationalField)
 from fiberbound.poly import grlex_key
 
 from conftest import random_poly
@@ -134,7 +136,7 @@ def test_rational_field_mode():
     x1 = MvPoly.variable(Q, 2, 1)
     p = (x0 + x1) * (x0 - x1)
     assert p == x0 ** 2 - x1 ** 2
-    half = p.scale(Q.div(1, 2))
+    half = p.scale(Fraction(1, 2))
     assert half + half == p
 
 
@@ -146,9 +148,123 @@ def test_on_line_matches_pointwise_evaluation(field):
         b = [field.rand(rng) for _ in range(3)]
         coeffs = p.on_line(a, b)
         for t in (0, 1, field.rand(rng)):
-            x = [field.add(ai, field.mul(t, bi)) for ai, bi in zip(a, b)]
+            x = [(ai + t * bi) % field.p for ai, bi in zip(a, b)]
             direct = p.evaluate(x)
             via_line = field.zero
             for k in reversed(range(len(coeffs))):
-                via_line = field.add(field.mul(via_line, t), coeffs[k])
+                via_line = (via_line * t + coeffs[k]) % field.p
             assert direct == via_line
+
+
+# -- the coefficient invariant: ints in [0, p) over F_p, Fractions over Q ----
+
+F7 = PrimeField(7)
+SMALL_FIELDS = [F7, RationalField()]
+
+
+def _red(F, x):
+    """Reference reduction, applied after every single step."""
+    return x % F.char if F.char else x
+
+
+def _ref_terms(F, pairs):
+    """Sum (exponent, coefficient) pairs one at a time, reducing each step."""
+    out = {}
+    for e, c in pairs:
+        out[e] = _red(F, out.get(e, F.zero) + _red(F, c))
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_power(F, x, k):
+    v = F.one
+    for _ in range(k):
+        v = _red(F, v * x)
+    return v
+
+
+def _ref_evaluate(F, terms, x):
+    acc = F.zero
+    for e, c in terms.items():
+        v = c
+        for j, k in enumerate(e):
+            v = _red(F, v * _ref_power(F, x[j], k))
+        acc = _red(F, acc + v)
+    return acc
+
+
+def _ref_on_line(F, terms, a, b):
+    """Dense coefficients of the restriction, one reduced product at a time."""
+    acc = {}
+    for e, c in terms.items():
+        poly = [c]
+        for j, k in enumerate(e):
+            for _ in range(k):
+                nxt = [F.zero] * (len(poly) + 1)
+                for i, v in enumerate(poly):
+                    nxt[i] = _red(F, nxt[i] + v * a[j])
+                    nxt[i + 1] = _red(F, nxt[i + 1] + v * b[j])
+                poly = nxt
+        for i, v in enumerate(poly):
+            acc[i] = _red(F, acc.get(i, F.zero) + v)
+    coeffs = [acc.get(i, F.zero) for i in range(max(acc, default=-1) + 1)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _assert_stored(F, poly):
+    for c in poly.terms.values():
+        if F.char:
+            assert isinstance(c, int) and 0 < c < F.char
+        else:
+            assert isinstance(c, Fraction) and c != 0
+
+
+def test_constructor_reduces_and_drops_zeros():
+    assert MvPoly(F7, 2, {(1, 0): -1, (0, 1): 7}).terms == {(1, 0): 6}
+    Q = RationalField()
+    assert MvPoly(Q, 2, {(1, 0): Fraction(-1), (0, 1): Fraction(0)}).terms == \
+        {(1, 0): Fraction(-1)}
+
+
+def test_derivative_drops_exponents_divisible_by_p():
+    f = MvPoly(F7, 2, {(7, 1): 3, (2, 0): 5})
+    assert f.derivative(0).terms == {(1, 0): 3}
+    assert f.derivative(1).terms == {(7, 0): 3}
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
+def test_operations_match_stepwise_reference(F):
+    rng = random.Random(77)
+    for _ in range(25):
+        a = random_poly(F, 2, 9, rng)
+        b = random_poly(F, 2, 4, rng)
+        c = F.rand(rng)
+        results = {
+            "add": (a + b, _ref_terms(F, [*a.terms.items(), *b.terms.items()])),
+            "sub": (a - b, _ref_terms(F, [*a.terms.items(),
+                                          *((e, -v) for e, v in b.terms.items())])),
+            "neg": (-a, _ref_terms(F, ((e, -v) for e, v in a.terms.items()))),
+            "mul": (a * b, _ref_terms(F, ((tuple(x + y for x, y in zip(e1, e2)),
+                                           v1 * v2)
+                                          for e1, v1 in a.terms.items()
+                                          for e2, v2 in b.terms.items()))),
+            "scale": (a.scale(c), _ref_terms(F, ((e, v * c)
+                                                 for e, v in a.terms.items()))),
+        }
+        for j in range(2):
+            results[f"d{j}"] = (a.derivative(j), _ref_terms(
+                F, ((e[:j] + (e[j] - 1,) + e[j + 1:], v * e[j])
+                    for e, v in a.terms.items() if e[j])))
+        for name, (got, want) in results.items():
+            assert got.terms == want, name
+            _assert_stored(F, got)
+        product = a * b
+        if not b.is_zero():
+            quotient = product.exact_div(b)
+            assert quotient == a
+            _assert_stored(F, quotient)
+        x = [F.rand(rng) for _ in range(2)]
+        assert a.evaluate(x) == _ref_evaluate(F, a.terms, x)
+        lb = [F.rand(rng) for _ in range(2)]
+        assert a.on_line(x, lb) == _ref_on_line(F, a.terms, x, lb)
