@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full pipeline on a map file")
     pa.add_argument("file")
     pa.add_argument("--seed", type=int, default=42)
-    pa.add_argument("--budget", type=int, default=200)
+    pa.add_argument("--budget", type=int, default=200,
+                    help="cap on the lines fiber discovery walks")
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--second-prime", action="store_true",
                     help="recompute deg F modulo a second prime")
@@ -207,8 +208,23 @@ def _check_nonnegative(args) -> None:
                            f"got {value}")
 
 
+def _join_point(argv: list) -> list:
+    """Write `--point V` as `--point=V`: argparse takes a V such as
+    "-1,0,0,1" for an option, while `--point` always needs a value."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--point":
+            value = next(args, None)
+            if value is not None:
+                arg = f"--point={value}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_join_point(argv))
     try:
         _check_nonnegative(args)
         return args.func(args)

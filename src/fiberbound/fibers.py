@@ -1,21 +1,23 @@
 """Fiber equations, hypersurface sampling, discovery of contracted divisors,
 and the degree-bound chain certificate.
 
-Every divisor contracted by the map lies inside Z(F), so sampling the
-square-free part of F and pushing sample points through the map finds the
-target points with (m-1)-dimensional fibers; the fiber equation h_y then
-comes out of a GCD of linear combinations of the forms.
+Every divisor contracted by the map lies inside Z(F), so the target points
+with (m-1)-dimensional fibers are images of points of Z(squarefree(F)); the
+fiber equation h_y then comes out of a GCD of linear combinations of the
+forms.
 
-Sampling walks random affine lines in random coordinate charts.  Rational
-roots of F restricted to a line give rational sample points.  A component
-of Z(F) can be F_p-rational as a divisor while carrying almost no
-F_p-rational points (conjugate lines meeting in a single base point, say);
-to still find its image, the sampler also inspects irreducible quadratic
-factors of the line restriction, which describe conjugate point pairs over
-F_{p^2}.  Arithmetic on such a pair happens modulo the quadratic, and
-whenever the image point turns out to be rational it is processed exactly
-like a rational sample.  Closed points of higher degree are not chased;
-the coverage numbers in the result quantify anything left unexplained.
+Discovery walks random affine lines in random coordinate charts and factors
+the restriction of squarefree(F) to each line completely over F_p.  Each
+irreducible factor q is a closed point of degree deg q on the line, and
+points of every degree count: a component of Z(F) can be F_p-rational as a
+divisor while carrying almost no F_p-rational points (conjugate lines
+meeting in a single base point, say).  The image of a closed point is
+computed modulo q, and whenever it turns out to be rational its fiber
+equation is computed.  The line's point at infinity is classified too when
+it lies on Z(F).  Discovery stops at the first line on which every point is
+a simple intersection off the base locus (see `discover_fibers`), so the
+line budget is only a cap; the coverage numbers in the result quantify
+anything left unexplained.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
 from .jacobian import RationalMapInput, build_jacobian, minors
 from .linalg import rank
 from .poly import MvPoly
-from .univariate import (irreducible_quadratics, u_deg, u_divmod, u_invmod,
-                         u_mulmod, u_rem, u_roots)
+from .univariate import u_deg, u_factor, u_invmod, u_mulmod, u_rem, u_roots
+# Kept bound here: bench/trace_layers.py wraps fibers.irreducible_quadratics.
+from .univariate import irreducible_quadratics  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,7 @@ class DiscoveryResult:
     base_locus_skips: int
     nonrational_skips: int
     degenerate_lines: int
+    lines: int            # lines walked, at most budget
     seed: int
     budget: int
 
@@ -143,20 +147,18 @@ def _random_line(field, nvars: int, rng: random.Random):
             return a, b
 
 
-def _line_roots(h: MvPoly, budget: int, seed: int):
-    """Walk `budget` random lines; per line yield (rng, a, b, u, roots).
+def _lines(h: MvPoly, budget: int, seed: int):
+    """Walk `budget` random lines; per line yield (rng, a, b, u).
 
-    u is h restricted to t -> a + t*b (empty when h vanishes on the line)
-    and roots are its F_p roots.  The rng is the line's own, positioned
-    after the root-finding seed was drawn.
+    u is h restricted to t -> a + t*b (empty when h vanishes on the line).
+    The rng is the line's own, positioned where the caller draws its
+    root-finding seed.
     """
     F = h.field
     for i in range(budget):
         rng = random.Random(seed * 1_000_003 + i)
         a, b = _random_line(F, h.nvars, rng)
-        u = h.on_line(a, b)
-        roots = u_roots(F, u, seed=rng.randrange(1 << 30)) if u else []
-        yield rng, a, b, u, roots
+        yield rng, a, b, h.on_line(a, b)
 
 
 def _point_on_line(p: int, a: list, b: list, t0) -> list:
@@ -174,14 +176,37 @@ def sample_hypersurface_points(h: MvPoly, budget: int, seed: int = 0) -> list:
     if h.is_constant():
         raise ValueError("hypersurface sampling needs a nonconstant polynomial")
     found = {ProjectivePoint.create(F, _point_on_line(F.char, a, b, t0))
-             for _, a, b, _, roots in _line_roots(h, budget, seed)
-             for t0 in roots}
+             for rng, a, b, u in _lines(h, budget, seed) if u
+             for t0 in u_roots(F, u, seed=rng.randrange(1 << 30))}
     return sorted(found, key=lambda pt: pt.coords)
 
 
 def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
                     seed: int = 0) -> DiscoveryResult:
-    """Find target points with (m-1)-dimensional fibers by sampling Z(squarefree(F))."""
+    """Find the target points with (m-1)-dimensional fibers on lines through
+    Z(sf), sf = squarefree(F), stopping at the first decisive line.
+
+    On each line L, the restriction u = sf|_L is factored completely; every
+    irreducible factor is a closed point of Z(sf) on L, and the point at
+    infinity b (b[c] = 0 in the line's chart) lies on Z(sf) when
+    deg u < deg sf.  Each such point off the base locus is pushed through
+    the map; a rational image y is handed to `consider`, which computes its
+    fiber equation once.  L is decisive when every point of Z(sf) on it is
+    a simple intersection off the base locus: u is square-free, deg sf -
+    deg u <= 1, and neither b (when it is on Z(sf)) nor any factor of u
+    lies in the base locus.
+
+    One decisive line finds every record.  A divisor C contracted to a
+    rational y lies in Z(F), so it is a union of components of Z(sf) and
+    meets L in some point x of Z(sf), off the base locus.  The map is
+    constantly y on C wherever it is defined, so the image of x is y and
+    `consider(y)` finds y's record.  (The argument needs only the base
+    locus condition; asking for simple intersections as well keeps the stop
+    to lines in general position, as a generic line is.)  Discovery
+    therefore stops after the first decisive line, or as soon as the
+    records cover all of sf; `budget` caps the lines walked when neither
+    happens.
+    """
     Fld = inp.field
     p = Fld.char
     if not p:
@@ -191,15 +216,20 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
     if F.is_constant():
         return DiscoveryResult(records=[], squarefree_f_degree=0, covered_degree=0,
                                base_locus_skips=0, nonrational_skips=0,
-                               degenerate_lines=0, seed=seed, budget=budget)
+                               degenerate_lines=0, lines=0, seed=seed,
+                               budget=budget)
     sf = squarefree_part(F)
+    deg_sf = sf.total_degree()
     seen: dict = {}
     records: list = []
+    covered = 0
     base_skips = 0
     nonrational = 0
     degenerate = 0
+    lines = 0
 
     def consider(y_coords) -> None:
+        nonlocal covered
         pt = ProjectivePoint.create(Fld, y_coords)
         if pt.coords in seen:
             return
@@ -214,56 +244,51 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
                                            for p, e in sq))
         seen[pt.coords] = rec
         records.append(rec)
+        covered += sum(p.total_degree() for p, _ in sq)
 
-    for rng, a, b, u, roots in _line_roots(sf, budget, seed):
+    for rng, a, b, u in _lines(sf, budget, seed):
+        lines += 1
         if not u:
             degenerate += 1
             continue
-        for t0 in roots:
-            x = _point_on_line(p, a, b, t0)
-            fvals = [fi.evaluate(x) for fi in inp.f]
-            if not any(fvals):
+        factors = u_factor(Fld, u, seed=rng.randrange(1 << 30))
+        at_infinity = deg_sf - u_deg(u)     # intersection multiplicity at b
+        decisive = (at_infinity <= 1
+                    and sum(u_deg(q) for q in factors) == u_deg(u))
+        if at_infinity:
+            fvals = [fi.evaluate(b) for fi in inp.f]
+            if any(fvals):
+                consider(fvals)
+            else:
                 base_skips += 1
-                continue
-            consider(fvals)
-        # Conjugate point pairs: irreducible quadratic factors of the restriction,
-        # which need two degrees of u beyond its distinct rational roots.
-        if u_deg(u) - len(roots) < 2:
-            continue
-        # Dividing each root out once keeps the modulus of the search small.
-        rest = u
-        for r in roots:
-            rest = u_divmod(rest, [-r % p, 1], p)[0]
-        quads = irreducible_quadratics(Fld, rest, seed=rng.randrange(1 << 30))
-        if not quads:
-            continue
+                decisive = False
         f_on_line = [fi.on_line(a, b) for fi in inp.f]
-        for q in quads:
+        for q in factors:
+            # The point's image, computed in F_p[t]/(q): rational iff every
+            # ratio to the pivot coordinate is a constant.
             residues = [u_rem(fl, q, p) for fl in f_on_line]
             pivot = next((k for k, r in enumerate(residues) if r), None)
             if pivot is None:
                 base_skips += 1
+                decisive = False
                 continue
             inv = u_invmod(residues[pivot], q, p)
-            ys = []
-            for r in residues:
-                prod = u_mulmod(r, inv, q, p)
-                if u_deg(prod) > 0:
-                    nonrational += 1
-                    break
-                ys.append(prod[0] if prod else 0)
+            ys = [u_mulmod(r, inv, q, p) for r in residues]
+            if any(u_deg(y) > 0 for y in ys):
+                nonrational += 1
             else:
-                consider(ys)
+                consider([y[0] if y else 0 for y in ys])
+        if decisive or covered == deg_sf:
+            break
 
     records.sort(key=lambda r: r.y.coords)
-    covered = sum(sum(p.total_degree() for p, _ in r.sqfree) for r in records)
     return DiscoveryResult(records=records,
-                           squarefree_f_degree=sf.total_degree(),
+                           squarefree_f_degree=deg_sf,
                            covered_degree=covered,
                            base_locus_skips=base_skips,
                            nonrational_skips=nonrational,
                            degenerate_lines=degenerate,
-                           seed=seed, budget=budget)
+                           lines=lines, seed=seed, budget=budget)
 
 
 def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,

@@ -8,10 +8,14 @@ kernels do plain int or Fraction arithmetic, never dispatching through the
 field object, and reduce mod p once per result; `u_mul` leaves its product
 unreduced, so a multiply-then-divide reduces only once.
 
-Root finding follows the classical route: split off the product of linear
-factors with gcd(a, t^p - t), then separate the roots by randomised
-equal-degree descent, finishing degree-2 pieces with the quadratic formula.
-All randomness flows through an explicit seed, so results are reproducible.
+Factorization over F_p follows the classical route (Cantor-Zassenhaus;
+von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14): a distinct-degree
+split peels off, for k = 1, 2, ..., the product gcd(a, t^(p^k) - t) of the
+irreducible factors of degree k, and a randomised equal-degree split
+separates each product into its factors.  Root finding is the k = 1 case,
+finishing degree-2 pieces with the quadratic formula.  All randomness flows
+through an explicit seed, and the results are sorted, so they do not depend
+on it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import random
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .errors import RationalModeUnsupported
+from .errors import PthPowerHazard, RationalModeUnsupported
 
 if TYPE_CHECKING:
     from .poly import MvPoly
@@ -173,35 +177,73 @@ def mvpoly_to_univariate(a: MvPoly) -> tuple[int, list]:
     return v, u_trim(coeffs)
 
 
-def _roots_of_splitting(p: int, g: list, rng: random.Random) -> list:
-    """Roots of a monic product of distinct linear factors, by equal-degree descent."""
-    roots = []
-    stack = [g]
-    half = (p - 1) // 2
-    while stack:
-        g = stack.pop()
-        dg = u_deg(g)
-        if dg <= 0:
+def _distinct_degree(a: list, p: int) -> list:
+    """[(k, g_k)]: g_k is the product of the degree-k irreducible factors of
+    the monic square-free a.  t^p mod a is computed once; each further
+    degree costs one p-th power."""
+    out = []
+    t = [0, 1]
+    h = t
+    k = 0
+    # Once deg a < 2(k + 1), a has no two factors of degree > k left, so
+    # what remains is irreducible.
+    while u_deg(a) >= 2 * (k + 1):
+        k += 1
+        h = u_powmod(h, p, a, p)
+        g = u_gcd(u_sub(h, t, p), a, p)
+        if u_deg(g) > 0:
+            out.append((k, g))
+            a = u_divmod(a, g, p)[0]
+    if u_deg(a) > 0:
+        out.append((u_deg(a), a))
+    return out
+
+
+def _equal_degree(g: list, k: int, p: int, rng: random.Random) -> list:
+    """Monic irreducible factors of g, a monic product of distinct
+    irreducibles of degree k, by random splitting (Cantor-Zassenhaus; p odd)."""
+    dg = u_deg(g)
+    if dg <= k:
+        return [g] if dg == k else []
+    if k == 1 and dg == 2:
+        b, c = g[1], g[0]
+        s = sqrt_mod(b * b - 4 * c, p)
+        inv2 = pow(2, -1, p)
+        return [[(b - s) * inv2 % p, 1], [(b + s) * inv2 % p, 1]]
+    half = (p ** k - 1) // 2
+    while True:
+        r = u_trim([rng.randrange(p) for _ in range(dg)])
+        if u_deg(r) < 1:
             continue
-        if dg == 1:
-            roots.append(-g[0] % p)
-            continue
-        if dg == 2:
-            b, c = g[1], g[0]
-            s = sqrt_mod(b * b - 4 * c, p)
-            inv2 = pow(2, -1, p)
-            roots.append((s - b) * inv2 % p)
-            roots.append((-s - b) * inv2 % p)
-            continue
-        while True:
-            c = rng.randrange(p)
-            w = u_sub(u_powmod([c, 1], half, g, p), [1], p)
-            d = u_gcd(w, g, p)
-            if 0 < u_deg(d) < dg:
-                stack.append(d)
-                stack.append(u_divmod(g, d, p)[0])
-                break
-    return roots
+        d = u_gcd(u_sub(u_powmod(r, half, g, p), [1], p), g, p)
+        if 0 < u_deg(d) < dg:
+            return (_equal_degree(d, k, p, rng)
+                    + _equal_degree(u_divmod(g, d, p)[0], k, p, rng))
+
+
+def u_factor(F, a: list, seed: int = 0) -> list:
+    """The distinct monic irreducible factors of a nonzero a over F_p.
+
+    Sorted by degree, then by coefficients.  a is square-free exactly when
+    the factor degrees sum to deg a.  A repeated factor is divided out
+    through gcd(a, a'), which needs p > deg a.
+    """
+    if not a:
+        raise ValueError("factorization needs a nonzero polynomial")
+    p = F.char
+    a = u_monic(u_reduce(a, p), p)
+    if u_deg(a) <= 0:
+        return []
+    g = u_gcd(a, u_reduce([i * c for i, c in enumerate(a)][1:], p), p)   # a'
+    if u_deg(g) > 0:
+        if p <= u_deg(a):
+            raise PthPowerHazard(f"characteristic {p} <= degree {u_deg(a)}: "
+                                 "p-th powers would collapse")
+        a = u_divmod(a, g, p)[0]
+    rng = random.Random(seed)
+    factors = [q for k, prod in _distinct_degree(a, p)
+               for q in _equal_degree(prod, k, p, rng)]
+    return sorted(factors, key=lambda q: (len(q), q))
 
 
 def u_roots(F, a: list, seed: int = 0) -> list:
@@ -214,7 +256,7 @@ def u_roots(F, a: list, seed: int = 0) -> list:
         return []
     a = u_monic(a, p)
     g = u_gcd(u_sub(u_powmod([0, 1], p, a, p), [0, 1], p), a, p)
-    return sorted(_roots_of_splitting(p, g, random.Random(seed)))
+    return sorted(-q[0] % p for q in _equal_degree(g, 1, p, random.Random(seed)))
 
 
 def univariate_roots(a: MvPoly, seed: int = 0) -> list:
@@ -231,31 +273,4 @@ def univariate_roots(a: MvPoly, seed: int = 0) -> list:
 
 def irreducible_quadratics(F, a: list, seed: int = 0) -> list:
     """Monic irreducible quadratic factors of a, each listed once."""
-    if u_deg(a) < 2:
-        return []
-    p = F.char
-    a = u_monic(a, p)
-    # gcd with t^(p^2) - t is the product of the distinct irreducible factors
-    # of degree 1 and 2; dividing out gcd with t^p - t leaves the quadratics.
-    xp = u_powmod([0, 1], p, a, p)
-    linear = u_gcd(u_sub(xp, [0, 1], p), a, p)
-    w = u_gcd(u_sub(u_powmod(xp, p, a, p), [0, 1], p), a, p)
-    w = u_divmod(w, linear, p)[0]
-    if u_deg(w) < 2:
-        return []
-    rng = random.Random(seed)
-    half = (p * p - 1) // 2
-
-    def split(g: list) -> list:
-        if u_deg(g) == 2:
-            return [g]
-        while True:
-            h = u_trim([rng.randrange(p) for _ in range(u_deg(g))])
-            if u_deg(h) < 1:
-                continue
-            d = u_gcd(u_sub(u_powmod(h, half, g, p), [1], p), g, p)
-            if 0 < u_deg(d) < u_deg(g):
-                other = u_divmod(g, d, p)[0]
-                return split(d) + split(other)
-
-    return split(w)
+    return [q for q in u_factor(F, a, seed) if u_deg(q) == 2]

@@ -226,3 +226,38 @@ def test_syzygy_failed_reverification_is_typed(monkeypatch, capsys):
     monkeypatch.setattr(syz_mod, "kernel_basis", lambda F, rows, ncols: [])
     with pytest.raises(NoSyzygyFound):
         syz_mod.indeg_syzygy(make_example2())
+
+
+@pytest.mark.parametrize("command,point", [("fiber", "-1,0,1,0"),
+                                           ("rank-check", "-1,2,3")])
+def test_point_with_negative_first_coordinate(command, point, capsys):
+    # "--point -1,..." must read like "--point=-1,...", not as an option
+    path = str(MAPS / "example2.map")
+    spaced = run_cli([command, path, "--point", point], capsys)
+    joined = run_cli([command, path, f"--point={point}"], capsys)
+    assert spaced == joined
+    code, out, err = spaced
+    assert code == 0 and err == ""
+    if command == "fiber":
+        assert "h_y = X0^2 + X2^2" in out     # the point (1 : 0 : -1 : 0)
+    else:
+        assert "consistent = True" in out
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_small_prime_skips_discovery_with_a_warning(p, tmp_path, capsys):
+    # p <= deg F = 11 rules out the square-free step discovery needs, but F,
+    # indeg(Syz) and the outer chain still hold
+    text = (MAPS / "example2.map").read_text()
+    small = tmp_path / f"example2_p{p}.map"
+    small.write_text("".join(f"field p={p}\n" if ln.startswith("field") else ln
+                             for ln in text.splitlines(True)))
+    code, out, _ = run_cli(["analyze", "--json", str(small)], capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert (d["p"], d["degF"], d["indegSyz"]) == (p, 11, 2)
+    assert (d["sumDeg"], d["sumWeighted"], d["refinedBound"]) == (0, 0, 13)
+    assert d["chainOk"] is True and d["coverage"] is None and d["fibers"] == []
+    assert any(w.startswith("fiber discovery skipped: characteristic "
+                            f"{p} <= degree")
+               for w in d["warnings"])

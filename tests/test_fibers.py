@@ -11,8 +11,9 @@ from fiberbound import (BasePointError, ChainViolation, MvPoly, ProjectivePoint,
                         sample_hypersurface_points, tangent_rank_check,
                         verify_bound_chain)
 from fiberbound.errors import RationalModeUnsupported
-from fiberbound.fields import RationalField
-from fiberbound.fixtures import make_example2, make_family
+from fiberbound.fields import PrimeField, RationalField
+from fiberbound.fixtures import FIXTURES, make_example2, make_family
+from fiberbound.linalg import rank
 from fiberbound.syzygy import indeg_syzygy
 
 
@@ -267,3 +268,126 @@ def test_F_divides_every_nonzero_minor(example2, field):
         if not mn.poly.is_zero():
             assert F.divides(mn.poly)
             assert mn.poly.total_degree() == 3 * (inp.d - 1)
+
+
+# covered degree of each fixture at budget 200; sumDeg/sumWeighted come from
+# the fixture table
+COVERED = {"family_d4": 6, "family_d5": 6, "family_d6": 6, "family_d7": 6,
+           "example2": 7, "cube_dependent": 0}
+
+
+def _random_gl(field, size, rng):
+    while True:
+        A = [[field.rand(rng) for _ in range(size)] for _ in range(size)]
+        if rank(field, A) == size:
+            return A
+
+
+def _gl_copy(inp, rng):
+    """g = B f(A X): the same fibers in random coordinates on both sides."""
+    field, nv = inp.field, inp.nvars
+    X = [MvPoly.variable(field, nv, j) for j in range(nv)]
+    AX = [sum((X[j].scale(c) for j, c in enumerate(row)), MvPoly.zero(field, nv))
+          for row in _random_gl(field, nv, rng)]
+    subst = []
+    for f in inp.f:
+        acc = MvPoly.zero(field, nv)
+        for e, c in f.terms.items():
+            t = MvPoly.constant(field, nv, c)
+            for j, k in enumerate(e):
+                if k:
+                    t = t * AX[j] ** k
+            acc = acc + t
+        subst.append(acc)
+    g = [sum((fj.scale(c) for fj, c in zip(subst, row)), MvPoly.zero(field, nv))
+         for row in _random_gl(field, len(inp.f), rng)]
+    return RationalMapInput.create(field, g)
+
+
+@pytest.fixture(scope="module", params=["fixture", "gl_copy"])
+def pinned_maps(request):
+    maps = []
+    for fx in FIXTURES:
+        inp = fx.build()
+        if request.param == "gl_copy":
+            inp = _gl_copy(inp, random.Random(f"gl:{fx.name}"))
+        F = gcd_of_minors(minors(build_jacobian(inp), 3))
+        maps.append((fx, inp, F))
+    return maps
+
+
+def test_discovery_stops_on_a_decisive_line(pinned_maps):
+    for fx, inp, F in pinned_maps:
+        assert F.total_degree() == fx.deg_f
+        for seed in range(1, 6):
+            disc = discover_fibers(inp, F, budget=200, seed=seed)
+            got = (sum(r.deg_h for r in disc.records),
+                   sum(r.weighted_deg for r in disc.records),
+                   disc.covered_degree)
+            assert got == (fx.sum_deg, fx.sum_weighted, COVERED[fx.name]), \
+                (fx.name, seed)
+            assert 1 <= disc.lines <= 2, (fx.name, seed, disc.lines)
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_discovery_walks_on_past_lines_through_base_points(p):
+    # over a small field many lines meet a base point or are tangent, so
+    # the first line is often not decisive and misses records
+    fx = next(fx for fx in FIXTURES if fx.name == "example2")
+    inp = make_example2(PrimeField(p))
+    F = gcd_of_minors(minors(build_jacobian(inp), 3))
+    walked = []
+    for seed in range(1, 9):
+        disc = discover_fibers(inp, F, budget=200, seed=seed)
+        assert (sum(r.deg_h for r in disc.records),
+                sum(r.weighted_deg for r in disc.records),
+                disc.covered_degree) == (fx.sum_deg, fx.sum_weighted,
+                                         COVERED["example2"]), seed
+        walked.append(disc.lines)
+    assert max(walked) > 1
+
+
+def test_a_line_through_a_base_point_is_not_decisive():
+    # f contracts the line l = 0 to (0 : 0 : 0 : 1), and l meets the base
+    # locus in three rational points; a line through one of them meets l
+    # nowhere else, so discovery has to walk on
+    F13 = PrimeField(13)
+    x0, x1, x2 = (MvPoly.variable(F13, 3, j) for j in range(3))
+    ell = x0 + x1 + x2
+    inp = RationalMapInput.create(F13, [ell * x0 ** 2, ell * x1 ** 2,
+                                        ell * x2 ** 2,
+                                        x0 * x1 * x2 + ell * x0 ** 2])
+    F = gcd_of_minors(minors(build_jacobian(inp), 3))
+    skipped = 0
+    for seed in range(1, 21):
+        disc = discover_fibers(inp, F, budget=200, seed=seed)
+        assert [(r.y.coords, r.h) for r in disc.records] == \
+            [((0, 0, 0, 1), ell)], seed
+        skipped += disc.base_locus_skips
+    assert skipped
+
+
+def test_discovery_lines_capped_by_budget(example2):
+    inp, F = example2
+    assert discover_fibers(inp, F, budget=0, seed=1).lines == 0
+    assert discover_fibers(inp, F, budget=1, seed=1).lines == 1
+
+
+def test_discovery_finds_a_cubic_through_a_degree_3_point(field, xyz):
+    # f = (c X0, c X1, c X2, h) contracts the smooth plane cubic c = 0 to
+    # (0 : 0 : 0 : 1); on line 0 of seed 5 the cubic has no rational point,
+    # only one closed point of degree 3
+    from fiberbound.fibers import _lines
+    from fiberbound.univariate import u_roots
+    x0, x1, x2 = xyz
+    c = x1 ** 2 * x2 - x0 ** 3 - x0 * x2 ** 2 - x2 ** 3
+    h = x0 ** 4 + x1 ** 4 + x2 ** 4 + x0 * x1 * x2 ** 2
+    inp = RationalMapInput.create(field, [c * x0, c * x1, c * x2, h])
+    F = gcd_of_minors(minors(build_jacobian(inp), 3))
+    assert F == c.monic()
+    [(_, _, _, u)] = _lines(F, 1, 5)
+    assert len(u) == 4 and u_roots(field, u) == []
+    disc = discover_fibers(inp, F, budget=1, seed=5)
+    assert [(r.y.coords, r.h) for r in disc.records] == \
+        [((0, 0, 0, 1), c.monic())]
+    assert disc.covered_degree == disc.squarefree_f_degree == 3

@@ -1,12 +1,13 @@
-"""F_p root finding: fixed small-field cases, split products, determinism."""
+"""F_p root finding and factorization: fixed small-field cases, split products,
+known irreducibles, determinism."""
 
 import random
 
 import pytest
 
 from fiberbound import MvPoly, PrimeField, RationalField, RationalModeUnsupported
-from fiberbound.univariate import (irreducible_quadratics, sqrt_mod,
-                                   u_roots, univariate_roots)
+from fiberbound.univariate import (irreducible_quadratics, sqrt_mod, u_factor,
+                                   u_mul, u_roots, univariate_roots)
 
 
 def test_roots_small_field_examples():
@@ -86,3 +87,77 @@ def test_irreducible_quadratics_extraction(field):
             prod[i + j] = (prod[i + j] + ci * cj) % p
     found = irreducible_quadratics(field, prod, seed=2)
     assert sorted(found) == sorted([t2_plus_1, q2])
+
+
+def _non_residue(c: int, p: int) -> bool:
+    return pow(c % p, (p - 1) // 2, p) == p - 1
+
+
+def _known_irreducible(p: int, k: int, rng: random.Random) -> list:
+    """A monic irreducible of degree k <= 4 over F_p, by a criterion that
+    does not use the factorization kernel."""
+    while True:
+        if k == 1:
+            return [rng.randrange(p), 1]
+        if k == 2:
+            # t^2 + b t + c with a non-square discriminant
+            b, c = rng.randrange(p), rng.randrange(p)
+            if _non_residue(b * b - 4 * c, p):
+                return [c, b, 1]
+        elif k == 3 and p < 1000:
+            # a cubic is irreducible iff it has no root; try every value
+            g = [rng.randrange(p) for _ in range(3)] + [1]
+            if all(sum(c * pow(x, i, p) for i, c in enumerate(g)) % p
+                   for x in range(p)):
+                return g
+        elif k == 3:
+            # t^3 - c for c not a cube mod p (3 divides p - 1)
+            c = rng.randrange(1, p)
+            if pow(c, (p - 1) // 3, p) != 1:
+                return [-c % p, 0, 0, 1]
+        else:
+            # q(t^2) with q = t^2 + b t + c irreducible and c a non-square:
+            # a root of q is then a non-square in F_{p^2}
+            b, c = rng.randrange(p), rng.randrange(p)
+            if _non_residue(b * b - 4 * c, p) and _non_residue(c, p):
+                return [c, 0, b, 0, 1]
+
+
+def _product(p: int, factors: list, scale: int) -> list:
+    out = [scale]
+    for q in factors:
+        out = [x % p for x in u_mul(out, q)]
+    return out
+
+
+@pytest.mark.parametrize("p", [101, 2147483647])
+def test_factor_products_of_known_irreducibles(p):
+    F = PrimeField(p)
+    rng = random.Random(35)
+    for _ in range(4):
+        wanted = []
+        for k in (1, 1, 2, 2, 3, 4):
+            q = _known_irreducible(p, k, rng)
+            if q not in wanted:
+                wanted.append(q)
+        wanted.sort(key=lambda q: (len(q), q))
+        a = _product(p, wanted, rng.randrange(1, p))
+        for seed in range(4):
+            assert u_factor(F, a, seed=seed) == wanted
+        # a repeated factor is listed once, and the degree sum then falls
+        # short of deg a
+        squared = _product(p, wanted + wanted[:1], 1)
+        assert u_factor(F, squared, seed=1) == wanted
+
+
+@pytest.mark.parametrize("p", [101, 2147483647])
+def test_factor_returns_an_irreducible_whole(p):
+    F = PrimeField(p)
+    rng = random.Random(36)
+    for k in (1, 2, 3, 4):
+        q = _known_irreducible(p, k, rng)
+        scaled = [c * 3 % p for c in q]
+        assert u_factor(F, scaled, seed=k) == [q]
+    assert u_factor(F, [5]) == []
+    with pytest.raises(ValueError):
+        u_factor(F, [])
