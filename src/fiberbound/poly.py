@@ -209,7 +209,10 @@ class MvPoly:
             return self
         p = F.char
         lb = b.leading_monomial()
-        inv = F.inv(b.leading_coefficient())
+        inv = F.inv(b.terms[lb])
+        if not any(lb):
+            # Every other monomial is above 1 in grlex, so b is a constant.
+            return self.scale(inv)
         rem = dict(self.terms)
         quo: dict = {}
         while rem:

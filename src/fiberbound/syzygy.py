@@ -4,15 +4,21 @@ The degree-nu piece is the kernel of the linear map sending coefficient
 vectors of (a_0, ..., a_n), each a_i of degree nu, to the coefficients of
 sum a_i f_i in degree nu + d.  The initial degree of the syzygy module is
 found by scanning nu upwards; a Koszul relation guarantees a hit by nu = d.
+
+`indeg_syzygy` needs no vectors: it takes ranks, and builds a kernel basis
+(RREF, re-verified symbolically) only at a hit that counting does not
+certify.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from operator import add
 
 from .errors import NoSyzygyFound, SyzygyCheckFailed
 from .jacobian import RationalMapInput
-from .linalg import kernel_basis
+from .linalg import kernel_basis, rank
 from .poly import MvPoly, grlex_key
 
 
@@ -45,14 +51,12 @@ class IndegResult:
     searched_up_to: int
 
 
-def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
-    """Kernel basis in degree nu, RREF-normalised and re-verified symbolically."""
-    if nu < 0:
-        raise ValueError("degree must be nonnegative")
+def _degree_matrix(inp: RationalMapInput, nu: int) -> tuple[list, list]:
+    """(source monomials, rows) of (a_0..a_n) -> sum a_i f_i in degree nu;
+    column i * len(source) + j holds a_i's coefficient of source[j]."""
     F = inp.field
-    nvars = inp.nvars
-    source = monomials_of_degree(nvars, nu)
-    target = monomials_of_degree(nvars, nu + inp.d)
+    source = monomials_of_degree(inp.nvars, nu)
+    target = monomials_of_degree(inp.nvars, nu + inp.d)
     index = {e: i for i, e in enumerate(target)}
     ncols = len(inp.f) * len(source)
     rows = [[F.zero] * ncols for _ in range(len(target))]
@@ -61,8 +65,19 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
         for mu in source:
             # e -> e + mu is injective, so each cell receives one coefficient.
             for e, c in fi.terms.items():
-                rows[index[tuple(a + b for a, b in zip(e, mu))]][col] = c
+                rows[index[tuple(map(add, e, mu))]][col] = c
             col += 1
+    return source, rows
+
+
+def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
+    """Kernel basis in degree nu, RREF-normalised and re-verified symbolically."""
+    if nu < 0:
+        raise ValueError("degree must be nonnegative")
+    F = inp.field
+    nvars = inp.nvars
+    source, rows = _degree_matrix(inp, nu)
+    ncols = len(inp.f) * len(source)
     vectors = kernel_basis(F, rows, ncols)
     basis = []
     k = len(source)
@@ -84,8 +99,26 @@ def indeg_syzygy(inp: RationalMapInput, cap: int | None = None) -> IndegResult:
     Koszul relation f_j e_i - f_i e_j makes the search always succeed."""
     if cap is None:
         cap = inp.d
-    dims = (graded_syzygy_kernel(inp, nu).dimension for nu in range(cap + 1))
+    dims = (_syzygy_dimension(inp, nu) for nu in range(cap + 1))
     return indeg_from_dimensions(inp, dims, cap)
+
+
+def _syzygy_dimension(inp: RationalMapInput, nu: int) -> int:
+    """dim Syz_nu, or a positive lower bound when there are more columns
+    than rows; a kernel basis is built only at a deficient rank."""
+    m = inp.nvars - 1
+    ncols = len(inp.f) * comb(nu + m, m)
+    nrows = comb(nu + inp.d + m, m)
+    if ncols > nrows:
+        return ncols - nrows
+    r = rank(inp.field, _degree_matrix(inp, nu)[1])
+    if r == ncols:
+        return 0
+    dim = graded_syzygy_kernel(inp, nu).dimension
+    if dim != ncols - r:
+        raise NoSyzygyFound(f"degree {nu}: kernel basis of size {dim}, "
+                            f"but the rank leaves {ncols - r}")
+    return dim
 
 
 def indeg_from_dimensions(inp: RationalMapInput, dims, cap: int) -> IndegResult:

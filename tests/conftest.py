@@ -40,3 +40,27 @@ def random_nonzero_poly(field, nvars, max_deg, rng, **kw):
         p = random_poly(field, nvars, max_deg, rng, **kw)
         if not p.is_zero():
             return p
+
+
+def independent_rank_mod_p(p, rows):
+    """Row-echelon rank, written independently of the library's elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    col = 0
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        src = None
+        for i in range(rank, len(rows)):
+            if rows[i][col] % p:
+                src = i
+                break
+        if src is None:
+            continue
+        rows[rank], rows[src] = rows[src], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % p:
+                f = rows[i][col] * inv % p
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank

@@ -268,3 +268,19 @@ def test_operations_match_stepwise_reference(F):
         assert a.evaluate(x) == _ref_evaluate(F, a.terms, x)
         lb = [F.rand(rng) for _ in range(2)]
         assert a.on_line(x, lb) == _ref_on_line(F, a.terms, x, lb)
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
+def test_exact_div_by_a_constant_is_a_scale(F):
+    rng = random.Random(78)
+    for _ in range(10):
+        a = random_poly(F, 3, 6, rng)
+        c = F.rand_nonzero(rng)
+        quotient = a.exact_div(MvPoly.constant(F, 3, c))
+        assert quotient == a.scale(F.inv(c))
+        _assert_stored(F, quotient)
+    x0, x1, _ = (MvPoly.variable(F, 3, j) for j in range(3))
+    with pytest.raises(NotDivisible):
+        (x0 * x1 + MvPoly.one(F, 3)).exact_div(x0 + x1)
+    with pytest.raises(NotDivisible):
+        MvPoly.one(F, 3).exact_div(x0)

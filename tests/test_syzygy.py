@@ -1,39 +1,19 @@
 """Graded syzygy kernels: Koszul cases, paper fixtures, independent rank check."""
 
 import random
+from math import comb
 
-from fiberbound import (MvPoly, RationalMapInput, graded_syzygy_kernel,
-                        indeg_syzygy)
+import pytest
+
+import fiberbound.syzygy as syz_mod
+from fiberbound import (MvPoly, PrimeField, RationalField, RationalMapInput,
+                        graded_syzygy_kernel, indeg_syzygy)
 from fiberbound.errors import CommonFactor
 from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
 from fiberbound.jacobian import linear_dependence_check
 from fiberbound.syzygy import monomials_of_degree
 
-from conftest import random_poly
-
-
-def _independent_rank_mod_p(p, rows):
-    """Row-echelon rank, written independently of the library's elimination."""
-    rows = [list(r) for r in rows]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        src = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] % p:
-                src = i
-                break
-        if src is None:
-            continue
-        rows[rank], rows[src] = rows[src], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % p:
-                f = rows[i][col] * inv % p
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+from conftest import independent_rank_mod_p, random_poly
 
 
 def _assemble_matrix_independently(inp, nu):
@@ -130,7 +110,7 @@ def test_kernel_dimension_against_independent_rank(field):
             k = graded_syzygy_kernel(inp, nu)
             rows = _assemble_matrix_independently(inp, nu)
             ncols = 4 * len(monomials_of_degree(3, nu))
-            rank = _independent_rank_mod_p(p, rows)
+            rank = independent_rank_mod_p(p, rows)
             assert k.dimension == ncols - rank
             for tup in k.basis:
                 combo = MvPoly.zero(field, 3)
@@ -147,3 +127,72 @@ def test_monomials_of_degree_order_and_count(field):
     assert monos[0] == (2, 0, 0)
     assert monos[-1] == (0, 0, 2)
     assert len(set(monos)) == len(monos)
+
+
+def _dense_map(field, rng, d, nvars=3, nforms=4):
+    while True:
+        polys = [random_poly(field, nvars, d, rng, homogeneous_deg=d,
+                             density=1.0) for _ in range(nforms)]
+        try:
+            return RationalMapInput.create(field, polys)
+        except CommonFactor:
+            continue
+
+
+def test_dense_maps_hit_at_the_counted_degree(field, monkeypatch):
+    # (a_0..a_3) of degree nu have 4 C(nu+2, 2) coefficients, and sum a_i f_i
+    # has C(nu+d+2, 2); a generic map has no syzygy before the first nu
+    # where the first count exceeds the second.
+    rng = random.Random(53)
+    ranks = []
+    real_rank = syz_mod.rank
+
+    def counting(F, rows):
+        ranks.append(len(rows[0]))
+        return real_rank(F, rows)
+
+    def no_kernel(inp, nu):
+        raise AssertionError(f"kernel basis built at degree {nu}")
+
+    monkeypatch.setattr(syz_mod, "rank", counting)
+    monkeypatch.setattr(syz_mod, "graded_syzygy_kernel", no_kernel)
+    for d in range(3, 7):
+        inp = _dense_map(field, rng, d)
+        counted = next(nu for nu in range(d + 1)
+                       if 4 * comb(nu + 2, 2) > comb(nu + d + 2, 2))
+        ranks.clear()
+        assert indeg_syzygy(inp).indeg == counted
+        # one rank per degree below the hit, none at it
+        assert ranks == [4 * comb(nu + 2, 2) for nu in range(counted)]
+
+
+FIXTURES = {"cube_dependent": make_cube_dependent, "example2": make_example2,
+            **{f"family_d{d}": (lambda fld, d=d: make_family(d, fld))
+               for d in range(4, 8)}}
+
+
+@pytest.mark.parametrize("F", [PrimeField(), RationalField()], ids=["fp", "q"])
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_indeg_is_the_first_nonzero_kernel_on_fixtures(name, F):
+    inp = FIXTURES[name](F)
+    first = next(nu for nu in range(inp.d + 1)
+                 if graded_syzygy_kernel(inp, nu).dimension)
+    assert indeg_syzygy(inp).indeg == first
+
+
+def test_equal_counts_certify_nothing(field):
+    # Two binary forms of degree d without a common factor have a nonsingular
+    # Sylvester matrix, which is the square degree-(d-1) matrix: the first
+    # syzygy is the Koszul one, at nu = d.  Five dense plane cubics have 15
+    # linear coefficient tuples against 15 quartics, and none is a syzygy.
+    rng = random.Random(54)
+    for nvars, nforms, d, indeg in ((2, 2, 2, 2), (2, 2, 3, 3), (2, 2, 4, 4),
+                                    (3, 5, 3, 2)):
+        inp = _dense_map(field, rng, d, nvars, nforms)
+        assert indeg_syzygy(inp).indeg == indeg
+    # Three binary quadrics have 3 constant tuples against 3 quadrics; a
+    # dependent triple has its syzygy there.
+    x0, x1 = (MvPoly.variable(field, 2, j) for j in range(2))
+    dependent = RationalMapInput.create(field, [x0 * x0, x1 * x1,
+                                                x0 * x0 + x1 * x1])
+    assert indeg_syzygy(dependent).indeg == 0
