@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 from .errors import (CharDividesDegree, FDoesNotDivideMinor, PthPowerHazard,
                      RationalModeUnsupported)
-from .fibers import (BoundChainReport, DiscoveryResult, discover_fibers,
-                     verify_bound_chain)
+from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
+                     discover_fibers, verify_bound_chain)
 from .fields import SECOND_PRIME, PrimeField, is_prime
 from .jacobian import (EulerSyzygy, JacobianReport, RationalMapInput,
                        euler_syzygy, jacobian_report, linear_dependence_check)
@@ -26,6 +26,15 @@ def json_scalars(F, values) -> list:
     if F.char:
         return [F.lift_balanced(c) for c in values]
     return [str(c) for c in values]
+
+
+def fiber_json(F, names, rec: FiberRecord) -> dict:
+    """One `fibers[]` entry; `fiber --json` prints the same record."""
+    return {"y": json_scalars(F, rec.y.coords),
+            "h": rec.h.to_str(names),
+            "degH": rec.deg_h,
+            "weightedDeg": rec.weighted_deg,
+            "sqfree": [[p.to_str(names), e] for p, e in rec.sqfree]}
 
 
 @dataclass
@@ -96,14 +105,7 @@ class AnalysisReport:
         disc = self.discovery
         fibers = []
         if disc is not None:
-            for r in disc.records:
-                fibers.append({
-                    "y": json_scalars(F, r.y.coords),
-                    "h": r.h.to_str(names),
-                    "degH": r.deg_h,
-                    "weightedDeg": r.weighted_deg,
-                    "sqfree": [[p.to_str(names), e] for p, e in r.sqfree],
-                })
+            fibers = [fiber_json(F, names, r) for r in disc.records]
             d["coverage"] = {
                 "covered": disc.covered_degree,
                 "squarefreeDegF": disc.squarefree_f_degree,
@@ -191,8 +193,7 @@ def choose_second_prime(inp: RationalMapInput) -> int:
 
 
 def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
-                 second_prime: bool = False,
-                 indeg_cap: int | None = None) -> AnalysisReport:
+                 second_prime: bool = False) -> AnalysisReport:
     warnings: list[str] = []
     jr = jacobian_report(inp)
     dependent, relation = linear_dependence_check(inp)
@@ -208,7 +209,7 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
         except (CharDividesDegree, FDoesNotDivideMinor) as exc:
             warnings.append(f"Euler syzygy unavailable: {exc}")
 
-    indeg = indeg_syzygy(inp, cap=indeg_cap)
+    indeg = indeg_syzygy(inp)
 
     discovery = None
     chain = None
@@ -228,9 +229,12 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
         if discovery is not None:
             gap = discovery.squarefree_f_degree - discovery.covered_degree
             if gap > 0:
+                why = ("contracted to no rational point: discovery stopped on "
+                       "a decisive line" if discovery.decisive
+                       else "uncontracted or missed")
                 warnings.append(
                     f"coverage gap {gap}: square-free factors of F of total degree "
-                    f"{gap} belong to no discovered fiber (uncontracted or missed)")
+                    f"{gap} belong to no discovered fiber ({why})")
             if discovery.base_locus_skips:
                 warnings.append(f"skipped {discovery.base_locus_skips} "
                                 "base-locus samples")

@@ -11,11 +11,10 @@ import argparse
 import json
 import sys
 
-from .analysis import json_scalars, run_analysis
+from .analysis import fiber_json, run_analysis
 from .errors import BadInput, BadPoint, FiberboundError
-from .fibers import ProjectivePoint, fiber_equation, tangent_rank_check
+from .fibers import FiberRecord, ProjectivePoint, tangent_rank_check
 from .fixtures import FIXTURES
-from .gcd import squarefree_decompose
 from .mapfile import parse_map_file
 from .syzygy import graded_syzygy_kernel, indeg_from_dimensions
 
@@ -58,21 +57,16 @@ def cmd_analyze(args) -> int:
 
 def cmd_fiber(args) -> int:
     inp = _load(args.file)
-    y = _parse_point(args.point, inp.field, inp.n + 1)
-    h = fiber_equation(inp, y)
-    sq = squarefree_decompose(h) if not h.is_constant() else []
-    deg = max(h.total_degree(), 0)
-    weighted = sum((2 * e - 1) * p.total_degree() for p, e in sq)
+    rec = FiberRecord.at(inp, _parse_point(args.point, inp.field, inp.n + 1))
     names = inp.varnames
     if args.json:
-        out = {"y": json_scalars(inp.field, y.coords),
-               "h": h.to_str(names), "degH": deg, "weightedDeg": weighted,
-               "sqfree": [[p.to_str(names), e] for p, e in sq]}
-        print(json.dumps(out, sort_keys=True, indent=2))
+        print(json.dumps(fiber_json(inp.field, names, rec), sort_keys=True,
+                         indent=2))
     else:
-        print(f"y = {y.to_str(inp.field)}")
-        print(f"h_y = {h.to_str(names)}   deg {deg}   weighted {weighted}")
-        for p, e in sq:
+        print(f"y = {rec.y.to_str(inp.field)}")
+        print(f"h_y = {rec.h.to_str(names)}   deg {rec.deg_h}   "
+              f"weighted {rec.weighted_deg}")
+        for p, e in rec.sqfree:
             print(f"  ({p.to_str(names)})^{e}")
     return EXIT_OK
 

@@ -72,6 +72,16 @@ class FiberRecord:
     deg_h: int
     weighted_deg: int     # sum (2e-1) deg P_e
 
+    @classmethod
+    def at(cls, inp: RationalMapInput, y: ProjectivePoint) -> "FiberRecord":
+        """The record of y: h_y, its square-free parts and their degrees
+        (deg_h 0 and no parts when y has no divisorial fiber)."""
+        h = fiber_equation(inp, y)
+        sq = [] if h.is_constant() else squarefree_decompose(h)
+        return cls(y=y, h=h, sqfree=sq, deg_h=h.total_degree(),
+                   weighted_deg=sum((2 * e - 1) * p.total_degree()
+                                    for p, e in sq))
+
 
 @dataclass
 class DiscoveryResult:
@@ -84,6 +94,7 @@ class DiscoveryResult:
     lines: int            # lines walked, at most budget
     seed: int
     budget: int
+    decisive: bool        # discovery stopped on a decisive line
 
 
 @dataclass
@@ -125,14 +136,7 @@ def fiber_equation(inp: RationalMapInput, y, pivot: int | None = None) -> MvPoly
             combos.append(li)
     if not combos:
         raise AllCombinationsZero("every combination l_i(f) vanishes identically")
-    g = combos[0]
-    for c in combos[1:]:
-        if g.is_constant():
-            break
-        g = gcd_multivariate(g, c)
-    if g.is_constant():
-        return MvPoly.one(F, inp.nvars)
-    return g.monic()
+    return gcd_multivariate(*combos)
 
 
 def _random_line(field, nvars: int, rng: random.Random):
@@ -217,7 +221,7 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
         return DiscoveryResult(records=[], squarefree_f_degree=0, covered_degree=0,
                                base_locus_skips=0, nonrational_skips=0,
                                degenerate_lines=0, lines=0, seed=seed,
-                               budget=budget)
+                               budget=budget, decisive=False)
     sf = squarefree_part(F)
     deg_sf = sf.total_degree()
     seen: dict = {}
@@ -227,24 +231,20 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
     nonrational = 0
     degenerate = 0
     lines = 0
+    decisive = False
 
     def consider(y_coords) -> None:
         nonlocal covered
         pt = ProjectivePoint.create(Fld, y_coords)
         if pt.coords in seen:
             return
-        h = fiber_equation(inp, pt)
-        if h.total_degree() < 1:
+        rec = FiberRecord.at(inp, pt)
+        if not rec.deg_h:
             seen[pt.coords] = None
             return
-        sq = squarefree_decompose(h)
-        rec = FiberRecord(y=pt, h=h, sqfree=sq,
-                          deg_h=h.total_degree(),
-                          weighted_deg=sum((2 * e - 1) * p.total_degree()
-                                           for p, e in sq))
         seen[pt.coords] = rec
         records.append(rec)
-        covered += sum(p.total_degree() for p, _ in sq)
+        covered += sum(p.total_degree() for p, _ in rec.sqfree)
 
     for rng, a, b, u in _lines(sf, budget, seed):
         lines += 1
@@ -288,7 +288,8 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
                            base_locus_skips=base_skips,
                            nonrational_skips=nonrational,
                            degenerate_lines=degenerate,
-                           lines=lines, seed=seed, budget=budget)
+                           lines=lines, seed=seed, budget=budget,
+                           decisive=decisive)
 
 
 def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
@@ -382,10 +383,4 @@ def minor_vanishing_check(inp: RationalMapInput, h: MvPoly, minors3=None) -> boo
         return True
     if minors3 is None:
         minors3 = minors(build_jacobian(inp), 3)
-    for mn in minors3:
-        p = mn.poly if hasattr(mn, "poly") else mn
-        if p.is_zero():
-            continue
-        if not sf.divides(p):
-            return False
-    return True
+    return all(sf.divides(mn.poly) for mn in minors3 if not mn.poly.is_zero())

@@ -1,9 +1,15 @@
 """Multivariate GCD and square-free decomposition over an exact field.
 
-The GCD is a recursive primitive polynomial-remainder sequence: pick a main
-variable, split content from primitive part, run pseudo-division with a
-primitive-part reduction after every step, and recurse on the contents.  The
-univariate base case is plain monic Euclid on dense coefficient lists.
+`gcd_multivariate(*polys)` is the one entry point: it ignores zero inputs
+and folds the binary gcd over the rest, stopping once the gcd is constant.
+F, each fiber equation h_y and the derivative gcd are such folds, and the
+PRS's content gcds use the same fold without the final normalisation.
+
+The binary GCD is a recursive primitive polynomial-remainder sequence: pick
+a main variable, split content from primitive part, run pseudo-division
+with a primitive-part reduction after every step, and recurse on the
+contents.  The univariate base case is plain monic Euclid on dense
+coefficient lists.
 
 Two cheap reductions make the typical (coprime) case fast:
 
@@ -33,20 +39,30 @@ _PROBE_SEED = 0x5EEDF1BE
 _PROBE_ATTEMPTS = 4
 
 
-def gcd_multivariate(a: MvPoly, b: MvPoly) -> MvPoly:
-    """GCD of two polynomials, normalised to graded-lex leading coefficient 1.
+def gcd_multivariate(*polys: MvPoly) -> MvPoly:
+    """GCD of any number of polynomials, normalised to graded-lex leading
+    coefficient 1.
 
-    The result divides both inputs exactly and any common divisor divides it.
-    At least one input must be nonzero.
+    Zero inputs are ignored; at least one input must be nonzero.  The
+    result divides every input exactly and any common divisor divides it.
     """
-    a._check(b)
-    if a.is_zero() and b.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    return _gcd(a, b).monic()
+    for b in polys[1:]:
+        polys[0]._check(b)
+    nonzero = [a for a in polys if not a.is_zero()]
+    if not nonzero:
+        raise ValueError("gcd of zero polynomials is undefined")
+    return _gcd_of(nonzero).monic()
+
+
+def _gcd_of(polys: list) -> MvPoly:
+    """Unnormalised gcd of nonzero polynomials, folded in order with an
+    early exit once it is constant."""
+    g = polys[0]
+    for b in polys[1:]:
+        if g.is_constant():
+            break
+        g = _gcd(g, b)
+    return g
 
 
 def _gcd(a: MvPoly, b: MvPoly) -> MvPoly:
@@ -141,12 +157,10 @@ def _lead_coeff_in(a: MvPoly, v: int) -> MvPoly:
 
 def _content_in(a: MvPoly, v: int) -> MvPoly:
     """GCD of the coefficients of a viewed as a polynomial in v."""
-    acc = None
-    for _, cf in sorted(_coeffs_in(a, v).items()):
-        acc = cf if acc is None else _gcd(acc, cf)
-        if acc.is_constant():
-            return MvPoly.one(a.field, a.nvars)
-    return acc.monic()
+    c = _gcd_of([cf for _, cf in sorted(_coeffs_in(a, v).items())])
+    if c.is_constant():
+        return MvPoly.one(a.field, a.nvars)
+    return c.monic()
 
 
 def _content_and_primitive(a: MvPoly, v: int) -> tuple[MvPoly, MvPoly]:
@@ -256,12 +270,4 @@ def _check_char(a: MvPoly) -> None:
 
 def _derivative_gcd(a: MvPoly) -> MvPoly:
     """gcd(a, da/dX_0, ..., da/dX_m), monic."""
-    g = a
-    for j in range(a.nvars):
-        d = a.derivative(j)
-        if d.is_zero():
-            continue
-        g = gcd_multivariate(g, d)
-        if g.is_constant():
-            break
-    return g.monic()
+    return gcd_multivariate(a, *(a.derivative(j) for j in range(a.nvars)))

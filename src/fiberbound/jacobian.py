@@ -75,11 +75,7 @@ class RationalMapInput:
         d = degs.pop()
         if d < 1:
             raise NotHomogeneous("forms must have positive degree")
-        g = nonzero[0]
-        for fp in nonzero[1:]:
-            g = gcd_multivariate(g, fp)
-            if g.is_constant():
-                break
+        g = gcd_multivariate(*nonzero)
         if not g.is_constant():
             raise CommonFactor(g)
         p = field.char
@@ -135,25 +131,11 @@ def minors(jac: list, s: int) -> list:
     return out
 
 
-def gcd_of_minors(minor_polys, seed=None) -> MvPoly:
-    """GCD of the given minors, monic; AllMinorsZero when every minor vanishes.
-
-    Accumulates gcds with an early exit at 1.  A seed shuffles the
-    accumulation order; by default the natural order is used (the result is
-    order-independent either way).
-    """
-    polys = [m.poly if isinstance(m, Minor) else m for m in minor_polys]
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
+def gcd_of_minors(minors3) -> MvPoly:
+    """GCD of the given minors, monic; AllMinorsZero when every minor vanishes."""
+    if all(mn.poly.is_zero() for mn in minors3):
         raise AllMinorsZero("I_3(J(f)) = 0: every 3-minor vanishes")
-    if seed is not None:
-        random.Random(seed).shuffle(polys)
-    g = polys[0].monic()
-    for p in polys[1:]:
-        if g.is_constant():
-            break
-        g = gcd_multivariate(g, p)
-    return g
+    return gcd_multivariate(*(mn.poly for mn in minors3))
 
 
 @dataclass
@@ -166,11 +148,11 @@ class JacobianReport:
     i_top_nonzero: bool
 
 
-def jacobian_report(inp: RationalMapInput, seed=None) -> JacobianReport:
+def jacobian_report(inp: RationalMapInput) -> JacobianReport:
     jac = build_jacobian(inp)
     m3 = minors(jac, 3) if min(inp.n + 1, inp.m + 1) >= 3 else []
     i3 = any(not mn.poly.is_zero() for mn in m3)
-    F = gcd_of_minors(m3, seed=seed) if i3 else None
+    F = gcd_of_minors(m3) if i3 else None
     itop, _ = generic_finiteness_check(inp, jac=jac, minors3=m3)
     return JacobianReport(jac=jac, minors3=m3, F=F,
                           degF=F.total_degree() if F is not None else None,
@@ -235,7 +217,7 @@ def linear_dependence_check(inp: RationalMapInput):
     return True, tuple(basis[0])
 
 
-def fitting_invariance_check(inp: RationalMapInput, change, F=None, seed=None) -> bool:
+def fitting_invariance_check(inp: RationalMapInput, change, F=None) -> bool:
     """Recompute F after an invertible scalar change of basis g = C f.
 
     Returns True when the two GCDs agree up to a scalar (compared monic).
@@ -260,21 +242,20 @@ def fitting_invariance_check(inp: RationalMapInput, change, F=None, seed=None) -
     return F.monic() == F2.monic()
 
 
-def generic_finiteness_check(inp: RationalMapInput, trials: int = 12, seed: int = 0,
-                             jac=None, minors3=None):
+def generic_finiteness_check(inp: RationalMapInput, jac=None, minors3=None):
     """(I_{m+1}(J) != 0, I_3(J) != 0) flags.
 
-    Random evaluations give nonvanishing certificates; if every trial fails,
-    the answer falls back to exact symbolic minor expansion, reusing
-    `minors3` (the 3-minors of jac) when given.
+    Up to 12 random evaluations (seed 0) give nonvanishing certificates; if
+    every trial fails, the answer falls back to exact symbolic minor
+    expansion, reusing `minors3` (the 3-minors of jac) when given.
     """
     if jac is None:
         jac = build_jacobian(inp)
     F = inp.field
     nrows, ncols = inp.n + 1, inp.m + 1
-    rng = random.Random(seed)
+    rng = random.Random(0)
     best = 0
-    for _ in range(trials):
+    for _ in range(12):
         q = [F.rand(rng) for _ in range(ncols)]
         numeric = [[entry.evaluate(q) for entry in row] for row in jac]
         best = max(best, rank(F, numeric))

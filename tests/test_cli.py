@@ -69,6 +69,20 @@ def test_fiber_command_json(capsys):
     assert d["h"] == "X0^2 + X2^2" and d["degH"] == 2
 
 
+@pytest.mark.parametrize("name", ["example2", "family_d4"])
+def test_fiber_json_is_the_analyze_record(name, capsys):
+    path = str(MAPS / f"{name}.map")
+    code, out, _ = run_cli(["analyze", path, "--json"], capsys)
+    records = json.loads(out)["fibers"]
+    assert code == 0 and records
+    for rec in records:
+        point = ",".join(str(c) for c in rec["y"])
+        code, out, _ = run_cli(["fiber", path, "--json", "--point", point],
+                               capsys)
+        assert code == 0
+        assert json.loads(out) == rec
+
+
 def test_fiber_bad_point(capsys):
     code, _, err = run_cli(["fiber", str(MAPS / "example2.map"),
                             "--point", "1,2"], capsys)

@@ -373,6 +373,21 @@ def test_discovery_lines_capped_by_budget(example2):
     assert discover_fibers(inp, F, budget=1, seed=1).lines == 1
 
 
+def test_coverage_gap_warning_says_whether_the_stop_was_decisive(example2):
+    # example2 leaves a gap of 2; a decisive line certifies that no rational
+    # point is the image of those factors, an exhausted budget does not.
+    from fiberbound import run_analysis
+    inp, F = example2
+    assert discover_fibers(inp, F, budget=200, seed=42).decisive
+    assert not discover_fibers(inp, F, budget=0, seed=42).decisive
+    for budget, why in [(200, "(contracted to no rational point: discovery "
+                              "stopped on a decisive line)"),
+                        (0, "(uncontracted or missed)")]:
+        gaps = [w for w in run_analysis(inp, budget=budget).warnings
+                if w.startswith("coverage gap")]
+        assert len(gaps) == 1 and gaps[0].endswith(why)
+
+
 def test_discovery_finds_a_cubic_through_a_degree_3_point(field, xyz):
     # f = (c X0, c X1, c X2, h) contracts the smooth plane cubic c = 0 to
     # (0 : 0 : 0 : 1); on line 0 of seed 5 the cubic has no rational point,

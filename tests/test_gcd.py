@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from fiberbound import (MvPoly, PrimeField, PthPowerHazard, RationalField,
-                        gcd_multivariate, squarefree_decompose, squarefree_part)
+from fiberbound import (ArityMismatch, MvPoly, PrimeField, PthPowerHazard,
+                        RationalField, gcd_multivariate, squarefree_decompose,
+                        squarefree_part)
 
 from conftest import random_nonzero_poly
 
@@ -178,3 +179,55 @@ def test_gcd_over_rationals():
     parts = squarefree_decompose(a)
     assert sorted((str(p), e) for p, e in parts) == \
         [("X0 + X1", 2), ("X0 - X1", 1)]
+
+
+# -- the n-ary entry point ---------------------------------------------------
+
+@pytest.mark.parametrize("field", [PrimeField(7), RationalField()],
+                         ids=["F7", "Q"])
+def test_gcd_of_three_or_more_equals_the_pairwise_fold(field):
+    rng = random.Random(26)
+    for _ in range(12):
+        common = random_nonzero_poly(field, 3, 1, rng)
+        while common.is_constant():
+            common = random_nonzero_poly(field, 3, 1, rng)
+        polys = [random_nonzero_poly(field, 3, 2, rng) * common
+                 for _ in range(rng.choice([3, 4]))]
+        fold = polys[0]
+        for p in polys[1:]:
+            fold = gcd_multivariate(fold, p)
+        g = gcd_multivariate(*polys)
+        assert g == fold
+        assert common.divides(g)
+
+
+def test_gcd_ignores_zero_arguments(field, xyz):
+    x0, x1, x2 = xyz
+    zero = MvPoly.zero(field, 3)
+    a = (x0 + x1) * x2 * 3
+    b = (x0 + x1) * (x1 - x2)
+    want = gcd_multivariate(a, b)
+    assert want == (x0 + x1).monic()
+    for args in [(zero, a, b), (a, zero, b), (a, b, zero),
+                 (zero, a, zero, b, zero)]:
+        assert gcd_multivariate(*args) == want
+    assert gcd_multivariate(zero, a, zero) == a.monic()
+    assert gcd_multivariate(a) == a.monic()
+
+
+def test_gcd_of_only_zeros_raises(field):
+    zero = MvPoly.zero(field, 3)
+    for args in [(), (zero,), (zero, zero, zero)]:
+        with pytest.raises(ValueError):
+            gcd_multivariate(*args)
+
+
+def test_gcd_ring_mismatch_in_any_position(field, xyz):
+    x0, x1, _ = xyz
+    other = MvPoly.variable(field, 2, 0)
+    for bad in (other, MvPoly.zero(field, 2)):
+        for k in range(3):
+            args = [x0 * x1, x0, x0 + x1]
+            args.insert(k, bad)
+            with pytest.raises(ArityMismatch):
+                gcd_multivariate(*args)

@@ -9,7 +9,8 @@ from fiberbound import (AllMinorsZero, CharDividesDegree, MvPoly, PrimeField,
                         build_jacobian, euler_syzygy, fitting_invariance_check,
                         gcd_of_minors, generic_finiteness_check,
                         linear_dependence_check, minors)
-from fiberbound.errors import CommonFactor, MixedDegrees, NotHomogeneous
+from fiberbound.errors import (CommonFactor, FDoesNotDivideMinor, MixedDegrees,
+                               NotHomogeneous)
 from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
 
 from conftest import random_poly
@@ -112,8 +113,11 @@ def test_gcd_of_minors_cube_hand_value(field, xyz):
 
 
 def test_gcd_of_minors_seed_does_not_change_result(field):
+    # The gcd does not depend on the order the minors are folded in.
     m3 = minors(build_jacobian(make_example2()), 3)
-    assert gcd_of_minors(m3) == gcd_of_minors(m3, seed=123)
+    shuffled = list(m3)
+    random.Random(123).shuffle(shuffled)
+    assert gcd_of_minors(m3) == gcd_of_minors(shuffled)
 
 
 def test_all_minors_zero(field):
@@ -172,6 +176,17 @@ def test_euler_syzygy_dependent_cube(field):
     scale = field.inv(vals[0])
     assert [field.lift_balanced(v * scale) for v in vals] == \
         [1, 1, 0, -1]
+
+
+@pytest.mark.parametrize("make", [make_example2, lambda: make_family(4)],
+                         ids=["example2", "family_d4"])
+def test_euler_syzygy_rejects_a_non_divisor(field, make):
+    # F * X0 does not divide every signed maximal minor of these maps.
+    inp = make()
+    m3 = minors(build_jacobian(inp), 3)
+    F = gcd_of_minors(m3)
+    with pytest.raises(FDoesNotDivideMinor):
+        euler_syzygy(inp, F * MvPoly.variable(field, 3, 0), minors3=m3)
 
 
 def test_euler_syzygy_char_guard():

@@ -65,6 +65,10 @@ def test_common_factor_reported():
     with pytest.raises(CommonFactor) as exc:
         parse_map_file(text)
     assert str(exc.value.gcd) == "X0"
+    # A single nonzero form: the factor is reported monic.
+    with pytest.raises(CommonFactor) as exc:
+        parse_map_file("vars X0 X1\nf0 2*X0^2\nf1 0\n")
+    assert str(exc.value.gcd) == "X0^2"
 
 
 def test_not_homogeneous():
