@@ -32,6 +32,5 @@ from .mapfile import parse_map_file, parse_polynomial, print_map_file
 from .poly import MvPoly
 from .syzygy import (GradedKernelBasis, IndegResult, graded_syzygy_kernel,
                      indeg_syzygy, monomials_of_degree)
-from .univariate import univariate_roots
 
 __version__ = "0.1.0"

@@ -54,10 +54,7 @@ class AnalysisReport:
 
     @property
     def chain_ok(self) -> bool:
-        if self.chain is None:
-            return True
-        return (self.chain.chain_ok and self.chain.witness_divides
-                and self.chain.refined_ok is not False)
+        return self.chain is None or self.chain.ok
 
     def exit_code(self) -> int:
         return 0 if self.chain_ok else 2
@@ -223,8 +220,7 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
         records = discovery.records if discovery is not None else []
         chain = verify_bound_chain(inp, records, jr.F, indeg=indeg.indeg,
                                    strict=False)
-        if not chain.chain_ok or not chain.witness_divides \
-                or chain.refined_ok is False:
+        if not chain.ok:
             warnings.append("degree-bound chain VIOLATED: suspect an unlucky prime")
         if discovery is not None:
             gap = discovery.squarefree_f_degree - discovery.covered_degree

@@ -99,8 +99,11 @@ def cmd_rank_check(args) -> int:
 
 
 def run_selftest(fixtures=FIXTURES, seed: int = 42, budget: int = 200,
-                 out=sys.stdout, as_json: bool = False) -> int:
-    """Run the embedded fixtures against their pinned expectations."""
+                 out=None, as_json: bool = False) -> int:
+    """Run the embedded fixtures against their pinned expectations, writing
+    to `out` (sys.stdout at the time of the call when None)."""
+    if out is None:
+        out = sys.stdout
     results = []
     ok_all = True
     for fx in fixtures:

@@ -110,6 +110,13 @@ class BoundChainReport:
     refined: int | None = None
     refined_ok: bool | None = None
 
+    @property
+    def ok(self) -> bool:
+        """The chain holds, the witness divides F, and the refined bound,
+        when there is one, holds."""
+        return (self.chain_ok and self.witness_divides
+                and self.refined_ok is not False)
+
 
 def fiber_equation(inp: RationalMapInput, y, pivot: int | None = None) -> MvPoly:
     """Equation of the divisorial part of the fiber over y (constant 1 if none).
@@ -320,7 +327,7 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
                               sum_weighted=sum_weighted, degF=degF, outer=outer,
                               chain_ok=chain_ok, witness_divides=witness_ok,
                               indeg=indeg, refined=refined, refined_ok=refined_ok)
-    if strict and not (chain_ok and witness_ok and refined_ok is not False):
+    if strict and not report.ok:
         raise ChainViolation(report)
     return report
 

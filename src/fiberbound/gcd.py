@@ -8,8 +8,9 @@ PRS's content gcds use the same fold without the final normalisation.
 The binary GCD is a recursive primitive polynomial-remainder sequence: pick
 a main variable, split content from primitive part, run pseudo-division
 with a primitive-part reduction after every step, and recurse on the
-contents.  The univariate base case is plain monic Euclid on dense
-coefficient lists.
+contents down to constants.  One variable needs no base case of its own:
+there the contents are constants.  Univariate Euclid on dense coefficient
+lists runs only on the probe's specialisations below.
 
 Two cheap reductions make the typical (coprime) case fast:
 
@@ -33,7 +34,7 @@ import random
 
 from .errors import PthPowerHazard
 from .poly import MvPoly
-from .univariate import u_deg, u_gcd, u_reduce, mvpoly_to_univariate
+from .univariate import u_deg, u_gcd, u_reduce
 
 _PROBE_SEED = 0x5EEDF1BE
 _PROBE_ATTEMPTS = 4
@@ -70,9 +71,9 @@ def _gcd(a: MvPoly, b: MvPoly) -> MvPoly:
     ma, mb = a.min_exponents(), b.min_exponents()
     shared = tuple(map(min, ma, mb))
     if any(ma):
-        a = _unshift(a, ma)
+        a = a.shift([-k for k in ma])
     if any(mb):
-        b = _unshift(b, mb)
+        b = b.shift([-k for k in mb])
     g = _gcd_core(a, b)
     if any(shared):
         g = g.shift(shared)
@@ -89,12 +90,10 @@ def _gcd_core(a: MvPoly, b: MvPoly) -> MvPoly:
     if not common:
         # Divisors of a poly involve only its own variables, so nothing is shared.
         return one
-    if len(va | vb) == 1:
-        return _univariate_gcd(a, b, common[0])
     v = min(common, key=lambda j: min(a.degree_in(j), b.degree_in(j)))
 
     if _probe_no_common_part(a, b, v):
-        ca, cb = _content_in(a, v), _content_in(b, v)
+        ca, cb = _content(_coeffs_in(a, v)), _content(_coeffs_in(b, v))
         if ca.is_constant() or cb.is_constant():
             return one
         return _gcd(ca, cb)
@@ -115,28 +114,9 @@ def _gcd_core(a: MvPoly, b: MvPoly) -> MvPoly:
         if any(mr):
             # v never divides the primitive gcd, so stray monomial factors
             # in a remainder can be dropped.
-            r = _unshift(r, mr)
+            r = r.shift([-k for k in mr])
         f, g = g, r
     return cg * g if not cg.is_constant() else g
-
-
-def _unshift(a: MvPoly, exps: tuple) -> MvPoly:
-    return MvPoly(a.field, a.nvars,
-                  {tuple(x - y for x, y in zip(e, exps)): c
-                   for e, c in a.terms.items()})
-
-
-def _univariate_gcd(a: MvPoly, b: MvPoly, v: int) -> MvPoly:
-    F = a.field
-    _, ca = mvpoly_to_univariate(a)
-    _, cb = mvpoly_to_univariate(b)
-    g = u_gcd(ca, cb, F.char)
-    terms = {}
-    for k, c in enumerate(g):
-        e = [0] * a.nvars
-        e[v] = k
-        terms[tuple(e)] = c
-    return MvPoly(F, a.nvars, terms)
 
 
 def _coeffs_in(a: MvPoly, v: int) -> dict:
@@ -155,20 +135,21 @@ def _lead_coeff_in(a: MvPoly, v: int) -> MvPoly:
     return MvPoly(a.field, a.nvars, t)
 
 
-def _content_in(a: MvPoly, v: int) -> MvPoly:
-    """GCD of the coefficients of a viewed as a polynomial in v."""
-    c = _gcd_of([cf for _, cf in sorted(_coeffs_in(a, v).items())])
+def _content(coeffs: dict) -> MvPoly:
+    """Monic gcd of the coefficients from `_coeffs_in`; 1 when it is constant."""
+    c = _gcd_of([cf for _, cf in sorted(coeffs.items())])
     if c.is_constant():
-        return MvPoly.one(a.field, a.nvars)
+        return MvPoly.one(c.field, c.nvars)
     return c.monic()
 
 
 def _content_and_primitive(a: MvPoly, v: int) -> tuple[MvPoly, MvPoly]:
-    c = _content_in(a, v)
+    coeffs = _coeffs_in(a, v)
+    c = _content(coeffs)
     if c.is_constant():
-        return MvPoly.one(a.field, a.nvars), a.monic()
+        return c, a.monic()
     terms: dict = {}
-    for k, cf in _coeffs_in(a, v).items():
+    for k, cf in coeffs.items():
         q = cf.exact_div(c)
         for e, x in q.terms.items():
             terms[e[:v] + (k,) + e[v + 1:]] = x

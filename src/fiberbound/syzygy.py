@@ -94,13 +94,11 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
     return GradedKernelBasis(degree=nu, basis=basis, dimension=len(basis))
 
 
-def indeg_syzygy(inp: RationalMapInput, cap: int | None = None) -> IndegResult:
-    """Smallest nu <= cap with a nonzero syzygy. Default cap is d, where a
-    Koszul relation f_j e_i - f_i e_j makes the search always succeed."""
-    if cap is None:
-        cap = inp.d
-    dims = (_syzygy_dimension(inp, nu) for nu in range(cap + 1))
-    return indeg_from_dimensions(inp, dims, cap)
+def indeg_syzygy(inp: RationalMapInput) -> IndegResult:
+    """Smallest nu with a nonzero syzygy.  The search runs to d, where a
+    Koszul relation f_j e_i - f_i e_j makes it always succeed."""
+    dims = (_syzygy_dimension(inp, nu) for nu in range(inp.d + 1))
+    return indeg_from_dimensions(inp, dims, inp.d)
 
 
 def _syzygy_dimension(inp: RationalMapInput, nu: int) -> int:

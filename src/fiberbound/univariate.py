@@ -22,12 +22,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import PthPowerHazard, RationalModeUnsupported
-
-if TYPE_CHECKING:
-    from .poly import MvPoly
 
 
 def u_trim(a: list) -> list:
@@ -165,18 +161,6 @@ def sqrt_mod(a: int, p: int) -> int | None:
     return r
 
 
-def mvpoly_to_univariate(a: MvPoly) -> tuple[int, list]:
-    """(variable index, dense coefficients) for a polynomial in at most one variable."""
-    vs = a.variables_present()
-    if len(vs) > 1:
-        raise ValueError("polynomial involves more than one variable")
-    v = vs[0] if vs else 0
-    coeffs = [a.field.zero] * (a.degree_in(v) + 1 if a.terms else 0)
-    for e, c in a.terms.items():
-        coeffs[e[v]] = c
-    return v, u_trim(coeffs)
-
-
 def _distinct_degree(a: list, p: int) -> list:
     """[(k, g_k)]: g_k is the product of the degree-k irreducible factors of
     the monic square-free a.  t^p mod a is computed once; each further
@@ -247,28 +231,22 @@ def u_factor(F, a: list, seed: int = 0) -> list:
 
 
 def u_roots(F, a: list, seed: int = 0) -> list:
-    """All roots in F_p of a nonzero dense polynomial, sorted ascending."""
+    """All roots in F_p of a nonzero dense polynomial, sorted ascending.
+
+    Deterministic for a given seed.  Raises RationalModeUnsupported when F
+    is the rationals.
+    """
+    p = F.char
+    if not p:
+        raise RationalModeUnsupported("root finding requires a prime field")
     if not a:
         raise ValueError("root finding needs a nonzero polynomial")
-    p = F.char
     a = u_reduce(a, p)
     if u_deg(a) <= 0:
         return []
     a = u_monic(a, p)
     g = u_gcd(u_sub(u_powmod([0, 1], p, a, p), [0, 1], p), a, p)
     return sorted(-q[0] % p for q in _equal_degree(g, 1, p, random.Random(seed)))
-
-
-def univariate_roots(a: MvPoly, seed: int = 0) -> list:
-    """All F_p roots of a polynomial restricted to a single variable.
-
-    Deterministic for a given seed.  Raises RationalModeUnsupported when the
-    session field is the rationals.
-    """
-    if not a.field.char:
-        raise RationalModeUnsupported("root finding requires a prime field")
-    _, coeffs = mvpoly_to_univariate(a)
-    return u_roots(a.field, coeffs, seed)
 
 
 def irreducible_quadratics(F, a: list, seed: int = 0) -> list:

@@ -1,5 +1,6 @@
 """CLI commands: outputs, exit codes, selftest and its negative control."""
 
+import contextlib
 import io
 import json
 import pathlib
@@ -106,6 +107,16 @@ def test_rank_check_command(capsys):
 def test_selftest_passes():
     buf = io.StringIO()
     code = run_selftest(out=buf, budget=80)
+    assert code == 0
+    assert "all fixtures ok" in buf.getvalue()
+
+
+def test_selftest_output_follows_the_current_stdout():
+    # The default stream is looked up when selftest runs, so a redirect made
+    # after import captures the table.
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["selftest", "--budget", "80"])
     assert code == 0
     assert "all fixtures ok" in buf.getvalue()
 

@@ -231,3 +231,35 @@ def test_gcd_ring_mismatch_in_any_position(field, xyz):
             args.insert(k, bad)
             with pytest.raises(ArityMismatch):
                 gcd_multivariate(*args)
+
+
+# -- polynomials in one variable -----------------------------------------------
+
+@pytest.mark.parametrize("nvars, j", [(1, 0), (3, 2)], ids=["ring1", "X2of3"])
+@pytest.mark.parametrize("field", [PrimeField(7), PrimeField(101),
+                                   RationalField()], ids=["F7", "F101", "Q"])
+def test_gcd_in_one_variable(field, nvars, j):
+    # gcd(a c, b c) = c when a and b have no common root: a planted factor c
+    # in t = X_j, in a one-variable ring and in one variable of three.
+    rng = random.Random(27)
+    t = MvPoly.variable(field, nvars, j)
+    for _ in range(20):
+        r = rng.sample(range(7), 4)   # distinct mod 7, mod 101 and over Q
+        a = ((t - r[0]) * (t - r[1])).scale(field.rand_nonzero(rng))
+        b = (t - r[2]) ** rng.randrange(1, 3) * (t - r[3])
+        deg = rng.randrange(1, 4)
+        c = (t ** deg).scale(field.rand_nonzero(rng))
+        for k in range(deg):
+            c = c + (t ** k).scale(field.rand(rng))
+        assert gcd_multivariate(a * c, b * c) == c.monic()
+
+
+def test_gcd_of_single_variable_inputs_in_three_variables(field, xyz):
+    x0, x1, x2 = xyz
+    one = MvPoly.one(field, 3)
+    assert gcd_multivariate(x1 ** 3 * 5, x1 ** 5) == x1 ** 3
+    assert gcd_multivariate(x1 ** 2, x2 ** 4) == one
+    assert gcd_multivariate(x2 ** 3, (x0 - x1) ** 2) == one
+    assert gcd_multivariate(x1 ** 2, x1 * (x0 + x2), x1 ** 4) == x1
+    assert gcd_multivariate((x1 - 2) * (x1 + 3), (x1 - 2) * (x0 + x2)) \
+        == x1 - 2

@@ -7,48 +7,47 @@ import pytest
 
 from fiberbound import MvPoly, PrimeField, RationalField, RationalModeUnsupported
 from fiberbound.univariate import (irreducible_quadratics, sqrt_mod, u_factor,
-                                   u_mul, u_roots, univariate_roots)
+                                   u_mul, u_roots)
+
+
+def _with_roots(roots, lead=1) -> list:
+    """Dense coefficients of lead * prod (t - r)."""
+    out = [lead]
+    for r in roots:
+        out = u_mul(out, [-r, 1])
+    return out
 
 
 def test_roots_small_field_examples():
     F7 = PrimeField(7)
-    t = MvPoly.variable(F7, 1, 0)
-    assert univariate_roots(t ** 2 - 1) == [1, 6]
-    assert univariate_roots(t ** 2 + 1) == []   # -1 is a non-residue mod 7
+    assert u_roots(F7, [-1, 0, 1]) == [1, 6]   # t^2 - 1
+    assert u_roots(F7, [1, 0, 1]) == []        # -1 is a non-residue mod 7
 
 
 def test_roots_from_known_construction(field):
     rng = random.Random(31)
-    t = MvPoly.variable(field, 1, 0)
     for _ in range(15):
         wanted = sorted({field.rand(rng) for _ in range(rng.randrange(1, 7))})
-        prod = MvPoly.constant(field, 1, field.rand_nonzero(rng))
-        for r in wanted:
-            prod = prod * (t - MvPoly.constant(field, 1, r))
-        assert univariate_roots(prod, seed=rng.randrange(1000)) == wanted
+        prod = _with_roots(wanted, field.rand_nonzero(rng))
+        assert u_roots(field, prod, seed=rng.randrange(1000)) == wanted
 
 
 def test_roots_with_multiplicity_and_zero_root(field):
-    t = MvPoly.variable(field, 1, 0)
-    p = t ** 3 * (t - 2) ** 2 * (t + 5)
-    assert univariate_roots(p) == sorted([0, 2, field.conv(-5)])
+    p = _with_roots([0, 0, 0, 2, 2, -5])   # t^3 (t - 2)^2 (t + 5)
+    assert u_roots(field, p) == sorted([0, 2, field.conv(-5)])
 
 
 def test_roots_deterministic_per_seed(field):
     rng = random.Random(33)
-    t = MvPoly.variable(field, 1, 0)
-    prod = MvPoly.one(field, 1)
-    for r in [field.rand(rng) for _ in range(8)]:
-        prod = prod * (t - MvPoly.constant(field, 1, r))
-    assert univariate_roots(prod, seed=4) == univariate_roots(prod, seed=4)
-    assert univariate_roots(prod, seed=4) == univariate_roots(prod, seed=5)
+    prod = _with_roots([field.rand(rng) for _ in range(8)])
+    assert u_roots(field, prod, seed=4) == u_roots(field, prod, seed=4)
+    assert u_roots(field, prod, seed=4) == u_roots(field, prod, seed=5)
 
 
 def test_roots_rational_mode_rejected():
     Q = RationalField()
-    t = MvPoly.variable(Q, 1, 0)
     with pytest.raises(RationalModeUnsupported):
-        univariate_roots(t ** 2 - 1)
+        u_roots(Q, [-1, 0, 1])
 
 
 def test_roots_rejects_zero_polynomial(field):
@@ -57,9 +56,11 @@ def test_roots_rejects_zero_polynomial(field):
 
 
 def test_roots_of_multivariate_restriction(field):
-    # a polynomial using only variable 2 of a 3-variable ring
+    # a polynomial using only variable 2 of a 3-variable ring, as its
+    # coefficient list along the X2 axis
     x2 = MvPoly.variable(field, 3, 2)
-    assert univariate_roots(x2 ** 2 - 4) == [2, field.conv(-2)]
+    coeffs = (x2 ** 2 - 4).on_line((0, 0, 0), (0, 0, 1))
+    assert u_roots(field, coeffs) == [2, field.conv(-2)]
 
 
 def test_sqrt_mod_small_and_large():
