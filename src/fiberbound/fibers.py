@@ -306,7 +306,10 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
 
     Also checks the divisibility witness prod P_e^(2e-1) | F, and, when an
     initial syzygy degree is supplied, the refined bound deg F <= 3(d-1) - indeg.
-    Partial discovery can only weaken the left side, never violate the chain.
+    The refined bound is proved for P^2 --> P^n with n >= 3 only (on a
+    square Jacobian deg F = 3(d-1) whenever det J != 0), so elsewhere it is
+    left None.  Partial discovery can only weaken the left side, never
+    violate the chain.
     """
     sum_deg = sum(r.deg_h for r in fibers)
     sum_weighted = sum(r.weighted_deg for r in fibers)
@@ -320,7 +323,7 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
     chain_ok = sum_deg <= sum_weighted <= degF <= outer
     refined = None
     refined_ok = None
-    if indeg is not None:
+    if indeg is not None and inp.m == 2 and inp.n >= 3:
         refined = outer - indeg
         refined_ok = degF <= refined
     report = BoundChainReport(fibers=fibers, sum_deg=sum_deg,

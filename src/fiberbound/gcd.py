@@ -5,23 +5,29 @@ and folds the binary gcd over the rest, stopping once the gcd is constant.
 F, each fiber equation h_y and the derivative gcd are such folds, and the
 PRS's content gcds use the same fold without the final normalisation.
 
-The binary GCD is a recursive primitive polynomial-remainder sequence: pick
-a main variable, split content from primitive part, run pseudo-division
-with a primitive-part reduction after every step, and recurse on the
-contents down to constants.  One variable needs no base case of its own:
-there the contents are constants.  Univariate Euclid on dense coefficient
-lists runs only on the probe's specialisations below.
+The binary gcd first pulls out the shared monomial content, exponentwise,
+then tries three things in order:
 
-Two cheap reductions make the typical (coprime) case fast:
-
-  * shared monomial content is pulled out up front, exponentwise;
-  * before starting a PRS in variable v, both inputs are specialised at a
-    few points of the remaining variables.  If neither input drops degree in
-    v under the specialisation and the univariate images are coprime, the
-    true gcd provably has degree 0 in v, so only the contents can share a
-    factor.  (Degree preservation forces the leading coefficient of any
-    common divisor to survive the specialisation, so a nonconstant common
-    v-part would show up in the univariate gcd.)
+  * A probe.  Before any work in a variable v, both inputs are specialised
+    at a few points of the remaining variables.  If neither input drops
+    degree in v under the specialisation and the univariate images are
+    coprime, the true gcd provably has degree 0 in v, so only the contents
+    can share a factor.  (Degree preservation forces the leading
+    coefficient of any common divisor to survive the specialisation, so a
+    nonconstant common v-part would show up in the univariate gcd.)
+  * Brown's evaluation/interpolation gcd (Brown 1971; von zur Gathen &
+    Gerhard, Modern Computer Algebra, ch. 6) for two forms over F_p:
+    dehomogenise at X0 = 1, evaluate the last variable, recurse down to
+    univariate Euclid, interpolate, and certify by trial division.  It
+    runs only when p exceeds the number of points it can need at worst,
+    a count from the input degrees (see `_brown_applies`), so smaller
+    primes keep the PRS.
+  * A recursive primitive polynomial-remainder sequence, for the
+    rationals, non-forms and small p: pick a main variable, split content
+    from primitive part, run pseudo-division with a primitive-part
+    reduction after every step, and recurse on the contents down to
+    constants.  One variable needs no base case of its own: there the
+    contents are constants.
 
 Square-free decomposition iterates gcds with the partial derivatives, which
 needs the characteristic to exceed the total degree; smaller primes raise
@@ -32,9 +38,9 @@ from __future__ import annotations
 
 import random
 
-from .errors import PthPowerHazard
+from .errors import FiberboundError, PthPowerHazard
 from .poly import MvPoly
-from .univariate import u_deg, u_gcd, u_reduce
+from .univariate import u_deg, u_divmod, u_eval, u_gcd, u_mul, u_reduce
 
 _PROBE_SEED = 0x5EEDF1BE
 _PROBE_ATTEMPTS = 4
@@ -97,6 +103,8 @@ def _gcd_core(a: MvPoly, b: MvPoly) -> MvPoly:
         if ca.is_constant() or cb.is_constant():
             return one
         return _gcd(ca, cb)
+    if _brown_applies(a, b):
+        return _brown(a, b)
 
     ca, pa = _content_and_primitive(a, v)
     cb, pb = _content_and_primitive(b, v)
@@ -204,6 +212,143 @@ def _probe_no_common_part(a: MvPoly, b: MvPoly, v: int) -> bool:
     return False
 
 
+def _brown_applies(a: MvPoly, b: MvPoly) -> bool:
+    """True for two forms over F_p with p above the number of points that
+    `_brown_level` can draw at worst, so its point loop always ends.
+
+    With m = nvars - 2 variables beside the evaluated one and total degrees
+    da, db, a level draws at most da + db points where a leading
+    coefficient vanishes, m da db + (m - 1)(da + db) unlucky points (roots
+    of the y-contents of the resultants in each other variable and of the
+    leading coefficients in all but the first), and da + db + 1 points to
+    interpolate.  Lower levels have fewer variables and no larger degrees.
+    """
+    p = a.field.char
+    if not p or not (a.is_homogeneous() and b.is_homogeneous()):
+        return False
+    da, db, m = a.total_degree(), b.total_degree(), a.nvars - 2
+    return p > (m + 1) * (da + db) + m * da * db
+
+
+def _brown(a: MvPoly, b: MvPoly) -> MvPoly:
+    """gcd of two forms over F_p with no monomial content (Brown 1971).
+
+    X0 divides neither form, so setting X0 = 1 loses no common factor; the
+    gcd of the dehomogenised inputs is rehomogenised to its total degree.
+    """
+    g = _brown_level({(0,) + e[1:]: c for e, c in a.terms.items()},
+                     {(0,) + e[1:]: c for e, c in b.terms.items()},
+                     a.nvars - 1, a.field)
+    d = max(map(sum, g))
+    return MvPoly(a.field, a.nvars, {(d - sum(e),) + e[1:]: c for e, c in g.items()})
+
+
+def _brown_level(a: dict, b: dict, k: int, F) -> dict:
+    """gcd of nonzero term maps in X1..Xk over F_p, by evaluation and
+    interpolation in y = Xk.
+
+    The inputs are split into coefficients in F_p[y] of monomials in
+    X1..X(k-1).  The gcd is gcd(contents) times the gcd of the primitive
+    parts.  At a point y0 where neither lex leading coefficient vanishes,
+    the recursive gcd of the images has the leading monomial of that gcd
+    (lucky) or a larger one (unlucky, skipped); a smaller one than before
+    means every earlier point was unlucky.  Lucky images, made monic and
+    scaled by gamma(y0), gamma the gcd of the leading coefficients,
+    interpolate gamma/lc * gcd once there are deg gamma + min deg_y + 1 of
+    them; its primitive part is the gcd when it divides both inputs.
+    """
+    p = F.char
+    A, B = _split(a, k), _split(b, k)
+    if k == 1:
+        (x, ua), = A.items()
+        return _join({x: u_gcd(ua, B[x], p)}, k)
+    ca, cb = _u_content(A.values(), p), _u_content(B.values(), p)
+    cg = u_gcd(ca, cb, p)
+    A, B = _u_divide(A, ca, p), _u_divide(B, cb, p)
+    la, lb = A[max(A)], B[max(B)]
+    gamma = u_gcd(la, lb, p)
+    need = u_deg(gamma) + min(max(map(len, A.values())), max(map(len, B.values())))
+    lead = None
+    for y0 in _evaluation_points(p, k):
+        if not (u_eval(la, y0, p) and u_eval(lb, y0, p)):
+            continue
+        g = _brown_level(_image(A, y0, p), _image(B, y0, p), k - 1, F)
+        top = max(g)
+        if not any(top):
+            return _join({top: cg}, k)
+        if lead is None or top < lead:
+            lead, H, q = top, {}, [1]
+        elif top > lead:
+            continue
+        # Newton step: H += q * (gamma(y0) g / lc(g) - H(y0)) / q(y0)
+        scale = u_eval(gamma, y0, p) * pow(g[top], -1, p)
+        qi = pow(u_eval(q, y0, p), -1, p)
+        for x in H.keys() | g.keys():
+            row = H.get(x, [])
+            r = (scale * g.get(x, 0) - u_eval(row, y0, p)) * qi % p
+            if r:
+                row = row + [0] * (len(q) - len(row))
+                H[x] = [(u + r * c) % p for u, c in zip(row, q)]
+        q = u_reduce(u_mul(q, [-y0, 1]), p)
+        if len(q) > need:
+            P = _u_divide(H, _u_content(H.values(), p), p)
+            cand = _join(P, k)
+            if _divides(cand, a, F) and _divides(cand, b, F):
+                return _join({x: u_reduce(u_mul(row, cg), p)
+                              for x, row in P.items()}, k)
+            lead = None
+    raise FiberboundError("evaluation points exhausted")
+
+
+def _evaluation_points(p: int, k: int):
+    """The points of F_p in a seeded order: a progression with a random
+    start and a random nonzero step, so no point repeats."""
+    rng = random.Random(_PROBE_SEED + k)
+    start, step = rng.randrange(p), rng.randrange(1, p)
+    return ((start + i * step) % p for i in range(p))
+
+
+def _split(t: dict, y: int) -> dict:
+    """Map monomial with X_y removed -> dense coefficient list in X_y."""
+    out: dict = {}
+    for e, c in t.items():
+        row = out.setdefault(e[:y] + (0,) + e[y + 1:], [])
+        if len(row) <= e[y]:
+            row.extend([0] * (e[y] + 1 - len(row)))
+        row[e[y]] = c
+    return out
+
+
+def _join(rows: dict, y: int) -> dict:
+    return {x[:y] + (i,) + x[y + 1:]: c
+            for x, row in rows.items() for i, c in enumerate(row) if c}
+
+
+def _image(rows: dict, y0: int, p: int) -> dict:
+    return {x: v for x, row in rows.items() if (v := u_eval(row, y0, p))}
+
+
+def _u_content(rows, p: int) -> list:
+    """Monic gcd of the dense lists in rows."""
+    c: list = []
+    for row in rows:
+        c = u_gcd(c, row, p)
+        if len(c) == 1:
+            break
+    return c
+
+
+def _u_divide(rows: dict, c: list, p: int) -> dict:
+    if len(c) == 1:
+        return rows
+    return {x: u_divmod(row, c, p)[0] for x, row in rows.items()}
+
+
+def _divides(g: dict, t: dict, F) -> bool:
+    nvars = len(next(iter(t)))
+    return MvPoly(F, nvars, g).divides(MvPoly(F, nvars, t))
+
+
 def squarefree_part(a: MvPoly) -> MvPoly:
     """Product of the distinct irreducible factors of a, monic."""
     if a.is_zero():
@@ -250,5 +395,12 @@ def _check_char(a: MvPoly) -> None:
 
 
 def _derivative_gcd(a: MvPoly) -> MvPoly:
-    """gcd(a, da/dX_0, ..., da/dX_m), monic."""
-    return gcd_multivariate(a, *(a.derivative(j) for j in range(a.nvars)))
+    """gcd(a, da/dX_0, ..., da/dX_m), monic.
+
+    A form needs no a: deg a * a = sum X_j da/dX_j (Euler), and p > deg a,
+    so the partials' gcd divides a.
+    """
+    partials = [a.derivative(j) for j in range(a.nvars)]
+    if a.is_homogeneous():
+        return gcd_multivariate(*partials)
+    return gcd_multivariate(a, *partials)

@@ -45,6 +45,14 @@ def _inv(c, p: int):
     return pow(c, -1, p) if p else 1 / Fraction(c)
 
 
+def u_eval(a: list, x, p: int):
+    """Value of a at x by Horner's rule, reduced mod p (p > 0)."""
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % p
+    return v
+
+
 def u_sub(a: list, b: list, p: int) -> list:
     out = list(a) + [0] * max(len(b) - len(a), 0)
     for i, y in enumerate(b):
@@ -210,11 +218,14 @@ def u_factor(F, a: list, seed: int = 0) -> list:
 
     Sorted by degree, then by coefficients.  a is square-free exactly when
     the factor degrees sum to deg a.  A repeated factor is divided out
-    through gcd(a, a'), which needs p > deg a.
+    through gcd(a, a'), which needs p > deg a.  Raises
+    RationalModeUnsupported when F is the rationals.
     """
+    p = F.char
+    if not p:
+        raise RationalModeUnsupported("factorization requires a prime field")
     if not a:
         raise ValueError("factorization needs a nonzero polynomial")
-    p = F.char
     a = u_monic(u_reduce(a, p), p)
     if u_deg(a) <= 0:
         return []

@@ -286,3 +286,18 @@ def test_small_prime_skips_discovery_with_a_warning(p, tmp_path, capsys):
     assert any(w.startswith("fiber discovery skipped: characteristic "
                             f"{p} <= degree")
                for w in d["warnings"])
+
+
+def test_cremona_map_exits_zero_without_a_refined_bound(tmp_path, capsys):
+    # P^2 --> P^2 has a square Jacobian, so deg F = 3(d-1) and the refined
+    # bound, proved for P^2 --> P^n with n >= 3 only, is not checked
+    path = tmp_path / "cremona.map"
+    path.write_text("vars X0 X1 X2\nf0 X1*X2\nf1 X0*X2\nf2 X0*X1\n")
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    assert "chain: 3 <= 3 <= 3 <= 3" in out and "ok=True" in out
+    assert "refined:" not in out and "VIOLATED" not in out
+    code, out, _ = run_cli(["analyze", "--json", str(path)], capsys)
+    d = json.loads(out)
+    assert code == 0 and d["indegSyz"] == 1 and d["refinedBound"] is None
+    assert d["chainOk"] is True and d["warnings"] == []

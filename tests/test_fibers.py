@@ -10,11 +10,12 @@ from fiberbound import (BasePointError, ChainViolation, MvPoly, ProjectivePoint,
                         minor_vanishing_check, minors,
                         sample_hypersurface_points, tangent_rank_check,
                         verify_bound_chain)
-from fiberbound.errors import RationalModeUnsupported
+from fiberbound.analysis import run_analysis
+from fiberbound.errors import CommonFactor, RationalModeUnsupported
 from fiberbound.fields import PrimeField, RationalField
 from fiberbound.fixtures import FIXTURES, make_example2, make_family
 from fiberbound.linalg import rank
-from fiberbound.syzygy import indeg_syzygy
+from fiberbound.syzygy import indeg_syzygy, monomials_of_degree
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +174,32 @@ def test_verify_bound_chain_example2(example2, example2_discovery, field):
     rep = verify_bound_chain(inp, example2_discovery.records, F, indeg=indeg)
     assert (rep.sum_deg, rep.sum_weighted, rep.degF, rep.outer) == (8, 9, 11, 15)
     assert rep.refined == 13 and rep.chain_ok and rep.witness_divides
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)])
+def test_chain_ok_on_random_sparse_maps(m, n):
+    # The refined bound is proved for P^2 --> P^n with n >= 3 only, so it is
+    # reported there and nowhere else; on P^2 --> P^2 checking it would fail
+    # every map with indeg(Syz) > 0, since deg F = 3(d-1) there.
+    F = PrimeField(101)
+    rng = random.Random(50 + 10 * m + n)
+    maps = 0
+    while maps < 5:
+        d = rng.randint(2, 3)
+        mons = monomials_of_degree(m + 1, d)
+        forms = [MvPoly(F, m + 1, {e: F.rand_nonzero(rng)
+                                   for e in rng.sample(mons, rng.randint(1, 3))})
+                 for _ in range(n + 1)]
+        try:
+            inp = RationalMapInput.create(F, forms)
+        except CommonFactor:
+            continue
+        rep = run_analysis(inp, seed=1, budget=20)
+        if rep.chain is None:       # every 3-minor vanishes
+            continue
+        maps += 1
+        assert rep.chain.ok, rep.to_text()
+        assert (rep.chain.refined is None) == (m != 2 or n < 3)
 
 
 def test_verify_bound_chain_empty_fibers(example2, field):

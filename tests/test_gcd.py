@@ -8,13 +8,16 @@ with a test-local univariate Euclid along random lines, independent of the
 kernel's gcd.
 """
 
+import itertools
+import pathlib
 import random
 
 import pytest
 
 from fiberbound import (ArityMismatch, MvPoly, PrimeField, PthPowerHazard,
-                        RationalField, gcd_multivariate, squarefree_decompose,
-                        squarefree_part)
+                        RationalField, RationalMapInput, gcd,
+                        gcd_multivariate, parse_map_file, run_analysis,
+                        squarefree_decompose, squarefree_part)
 
 from conftest import random_nonzero_poly
 
@@ -263,3 +266,107 @@ def test_gcd_of_single_variable_inputs_in_three_variables(field, xyz):
     assert gcd_multivariate(x1 ** 2, x1 * (x0 + x2), x1 ** 4) == x1
     assert gcd_multivariate((x1 - 2) * (x1 + 3), (x1 - 2) * (x0 + x2)) \
         == x1 - 2
+
+
+# -- evaluation/interpolation gcd for forms over F_p -----------------------------
+
+def _count_brown(monkeypatch) -> list:
+    calls = []
+    real = gcd._brown
+    monkeypatch.setattr(gcd, "_brown",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    return calls
+
+
+def _forbid_brown(monkeypatch):
+    def fail(a, b):
+        raise AssertionError("entered the evaluation/interpolation gcd")
+    monkeypatch.setattr(gcd, "_brown", fail)
+
+
+@pytest.mark.parametrize("nvars", [2, 3, 4])
+@pytest.mark.parametrize("p", [101, 2147483647])
+def test_brown_agrees_with_the_prs_on_planted_factors(p, nvars, monkeypatch):
+    F = PrimeField(p)
+    rng = random.Random(41 + nvars)
+    cases = []
+    for _ in range(8):
+        a, b, c = (random_nonzero_poly(F, nvars, 0, rng,
+                                       homogeneous_deg=rng.randint(1, 2))
+                   for _ in range(3))
+        cases.append((a * c, b * c, c))
+    calls = _count_brown(monkeypatch)
+    fast = [gcd_multivariate(x, y) for x, y, _ in cases]
+    assert calls
+    monkeypatch.setattr(gcd, "_brown_applies", lambda a, b: False)
+    slow = [gcd_multivariate(x, y) for x, y, _ in cases]
+    assert fast == slow
+    for g, (x, y, c) in zip(fast, cases):
+        assert c.divides(g) and g.divides(x) and g.divides(y)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_small_primes_keep_the_prs(p, monkeypatch):
+    # the point count that ends Brown's loop needs p above 2(da + db) + da db
+    # here, which no gcd of example2 meets at these primes
+    _forbid_brown(monkeypatch)
+    text = (pathlib.Path(__file__).resolve().parent.parent / "maps"
+            / "example2.map").read_text()
+    text = "".join(f"field p={p}\n" if ln.startswith("field") else ln
+                   for ln in text.splitlines(True))
+    rep = run_analysis(parse_map_file(text), seed=42, budget=40)
+    d = rep.to_json_dict()
+    assert (d["degF"], d["indegSyz"]) == (11, 2)
+
+
+def test_coprime_inputs_never_enter_brown(monkeypatch):
+    # a dense P^2 --> P^3 map has F = 1: the probe certifies every gcd
+    _forbid_brown(monkeypatch)
+    F = PrimeField()
+    rng = random.Random(43)
+    forms = [random_nonzero_poly(F, 3, 0, rng, homogeneous_deg=4, density=1.0)
+             for _ in range(4)]
+    rep = run_analysis(RationalMapInput.create(F, forms), seed=1, budget=40)
+    assert rep.jacobian.F.is_constant()
+
+
+@pytest.mark.parametrize("c_has_y, first, retried", [
+    (True, [0, 1], False), (False, [0, 1], True), (True, [5, 0, 1], False)],
+    ids=["restart", "retry", "skip"])
+def test_unlucky_points_are_skipped_or_retried(c_has_y, first, retried, xyz,
+                                               monkeypatch):
+    # At X2 = 0 and X2 = 1 the images of U = X1^2 - X0 X2 and W = X1 - X2
+    # share a root, so those points are unlucky.  With c free of X2 two
+    # points fill the interpolation, and its result X1 - X2 fails trial
+    # division (retry).  With X2 in c a third point is needed: a lucky one
+    # after the unlucky ones restarts the interpolation, and unlucky ones
+    # after a lucky one are skipped.
+    x0, x1, x2 = xyz
+    c = x1 + 2 * x0 + (x2 if c_has_y else 0)
+    a, b = c * (x1 ** 2 - x0 * x2), c * (x1 - x2)
+    real = gcd._evaluation_points
+    drawn, divides = [], []
+
+    def points(p, k):
+        rest = (y for y in real(p, k) if y not in first)
+        for y0 in itertools.chain(first, rest):
+            drawn.append(y0)
+            yield y0
+
+    real_divides = gcd._divides
+    monkeypatch.setattr(gcd, "_evaluation_points", points)
+    monkeypatch.setattr(gcd, "_divides", lambda g, t, F: divides.append(
+        real_divides(g, t, F)) or divides[-1])
+    calls = _count_brown(monkeypatch)
+    assert gcd_multivariate(a, b) == c.monic()
+    assert len(calls) == 1 and drawn[:len(first)] == first
+    assert len(drawn) > len(first)
+    assert (False in divides) is retried
+
+
+def test_squarefree_of_a_non_form_keeps_it_in_the_derivative_gcd(field, xyz):
+    # the partials of X1^2 + 1 share X1, which does not divide it; only a
+    # form may leave itself out of the derivative gcd (Euler's identity)
+    a = xyz[1] ** 2 + 1
+    assert squarefree_part(a) == a
+    assert squarefree_decompose(a) == [(a, 1)]

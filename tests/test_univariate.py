@@ -162,3 +162,9 @@ def test_factor_returns_an_irreducible_whole(p):
     assert u_factor(F, [5]) == []
     with pytest.raises(ValueError):
         u_factor(F, [])
+
+
+def test_factor_rational_mode_rejected():
+    # (t - 2)(t - 3) over Q: factoring needs a prime field, as root finding does
+    with pytest.raises(RationalModeUnsupported):
+        u_factor(RationalField(), [6, -5, 1])
