@@ -31,7 +31,7 @@ from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
 from .jacobian import RationalMapInput, build_jacobian, minors
 from .linalg import rank
 from .poly import MvPoly
-from .univariate import u_deg, u_factor, u_invmod, u_mulmod, u_rem, u_roots
+from .univariate import u_deg, u_factor, u_rem, u_roots, u_sub
 # Kept bound here: bench/trace_layers.py wraps fibers.irreducible_quadratics.
 from .univariate import irreducible_quadratics  # noqa: F401
 
@@ -92,14 +92,12 @@ class DiscoveryResult:
     nonrational_skips: int
     degenerate_lines: int
     lines: int            # lines walked, at most budget
-    seed: int
     budget: int
     decisive: bool        # discovery stopped on a decisive line
 
 
 @dataclass
 class BoundChainReport:
-    fibers: list
     sum_deg: int
     sum_weighted: int
     degF: int
@@ -227,8 +225,8 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
     if F.is_constant():
         return DiscoveryResult(records=[], squarefree_f_degree=0, covered_degree=0,
                                base_locus_skips=0, nonrational_skips=0,
-                               degenerate_lines=0, lines=0, seed=seed,
-                               budget=budget, decisive=False)
+                               degenerate_lines=0, lines=0, budget=budget,
+                               decisive=False)
     sf = squarefree_part(F)
     deg_sf = sf.total_degree()
     seen: dict = {}
@@ -262,29 +260,32 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
         at_infinity = deg_sf - u_deg(u)     # intersection multiplicity at b
         decisive = (at_infinity <= 1
                     and sum(u_deg(q) for q in factors) == u_deg(u))
+        f_on_line = [fi.on_line(a, b) for fi in inp.f]
         if at_infinity:
-            fvals = [fi.evaluate(b) for fi in inp.f]
+            # f_i(a + t b) = f_i(b) t^d + lower terms: b's image is the top row.
+            fvals = [fl[inp.d] if len(fl) > inp.d else 0 for fl in f_on_line]
             if any(fvals):
                 consider(fvals)
             else:
                 base_skips += 1
                 decisive = False
-        f_on_line = [fi.on_line(a, b) for fi in inp.f]
         for q in factors:
-            # The point's image, computed in F_p[t]/(q): rational iff every
-            # ratio to the pivot coordinate is a constant.
+            # The point's image in F_p[t]/(q): the residues have degree below
+            # deg q, so it is rational iff each is an F_p-multiple y_i of the
+            # pivot residue.
             residues = [u_rem(fl, q, p) for fl in f_on_line]
-            pivot = next((k for k, r in enumerate(residues) if r), None)
+            pivot = next((r for r in residues if r), None)
             if pivot is None:
                 base_skips += 1
                 decisive = False
                 continue
-            inv = u_invmod(residues[pivot], q, p)
-            ys = [u_mulmod(r, inv, q, p) for r in residues]
-            if any(u_deg(y) > 0 for y in ys):
+            inv = Fld.inv(pivot[-1])
+            ys = [r[-1] * inv % p if r else 0 for r in residues]
+            if any(u_sub(r, [y * c for c in pivot], p)
+                   for r, y in zip(residues, ys)):
                 nonrational += 1
             else:
-                consider([y[0] if y else 0 for y in ys])
+                consider(ys)
         if decisive or covered == deg_sf:
             break
 
@@ -295,8 +296,7 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
                            base_locus_skips=base_skips,
                            nonrational_skips=nonrational,
                            degenerate_lines=degenerate,
-                           lines=lines, seed=seed, budget=budget,
-                           decisive=decisive)
+                           lines=lines, budget=budget, decisive=decisive)
 
 
 def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
@@ -326,10 +326,10 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
     if indeg is not None and inp.m == 2 and inp.n >= 3:
         refined = outer - indeg
         refined_ok = degF <= refined
-    report = BoundChainReport(fibers=fibers, sum_deg=sum_deg,
-                              sum_weighted=sum_weighted, degF=degF, outer=outer,
-                              chain_ok=chain_ok, witness_divides=witness_ok,
-                              indeg=indeg, refined=refined, refined_ok=refined_ok)
+    report = BoundChainReport(sum_deg=sum_deg, sum_weighted=sum_weighted,
+                              degF=degF, outer=outer, chain_ok=chain_ok,
+                              witness_divides=witness_ok, indeg=indeg,
+                              refined=refined, refined_ok=refined_ok)
     if strict and not report.ok:
         raise ChainViolation(report)
     return report

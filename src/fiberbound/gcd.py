@@ -6,28 +6,23 @@ F, each fiber equation h_y and the derivative gcd are such folds, and the
 PRS's content gcds use the same fold without the final normalisation.
 
 The binary gcd first pulls out the shared monomial content, exponentwise,
-then tries three things in order:
+then runs Brown's evaluation/interpolation gcd (Brown 1971; von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 6) over either field.  Two forms are
+dehomogenised at X0 = 1, other inputs keep every variable.  The last
+variable is evaluated at seeded points, the images' gcds are taken
+recursively down to univariate Euclid, interpolated, and certified by trial
+division.  A lucky image that is constant certifies that the gcd lies in
+the evaluated variable alone (it is the gcd of the contents), so coprime
+inputs cost one point per level.
 
-  * A probe.  Before any work in a variable v, both inputs are specialised
-    at a few points of the remaining variables.  If neither input drops
-    degree in v under the specialisation and the univariate images are
-    coprime, the true gcd provably has degree 0 in v, so only the contents
-    can share a factor.  (Degree preservation forces the leading
-    coefficient of any common divisor to survive the specialisation, so a
-    nonconstant common v-part would show up in the univariate gcd.)
-  * Brown's evaluation/interpolation gcd (Brown 1971; von zur Gathen &
-    Gerhard, Modern Computer Algebra, ch. 6) for two forms over F_p:
-    dehomogenise at X0 = 1, evaluate the last variable, recurse down to
-    univariate Euclid, interpolate, and certify by trial division.  It
-    runs only when p exceeds the number of points it can need at worst,
-    a count from the input degrees (see `_brown_applies`), so smaller
-    primes keep the PRS.
-  * A recursive primitive polynomial-remainder sequence, for the
-    rationals, non-forms and small p: pick a main variable, split content
-    from primitive part, run pseudo-division with a primitive-part
-    reduction after every step, and recurse on the contents down to
-    constants.  One variable needs no base case of its own: there the
-    contents are constants.
+Over Q the integer points never run out.  Over F_p a level draws each of
+the p points at most once; when they are exhausted (only a small p allows
+it) the recursive primitive polynomial-remainder sequence takes over: pick a
+main variable, split content from primitive part, run pseudo-division with a
+primitive-part reduction after every step, and recurse on the contents down
+to constants (one variable needs no base case of its own: there the
+contents are constants).  The PRS is also the tests' reference for Brown's
+gcd.
 
 Square-free decomposition iterates gcds with the partial derivatives, which
 needs the characteristic to exceed the total degree; smaller primes raise
@@ -36,14 +31,18 @@ PthPowerHazard.
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from .errors import FiberboundError, PthPowerHazard
+from .errors import PthPowerHazard
 from .poly import MvPoly
-from .univariate import u_deg, u_divmod, u_eval, u_gcd, u_mul, u_reduce
+from .univariate import _inv, u_deg, u_divmod, u_eval, u_gcd, u_mul, u_reduce
 
-_PROBE_SEED = 0x5EEDF1BE
-_PROBE_ATTEMPTS = 4
+_POINTS_SEED = 0x5EEDF1BE
+
+
+class _PointsExhausted(Exception):
+    """A level of `_brown_level` drew every point of F_p."""
 
 
 def gcd_multivariate(*polys: MvPoly) -> MvPoly:
@@ -96,16 +95,12 @@ def _gcd_core(a: MvPoly, b: MvPoly) -> MvPoly:
     if not common:
         # Divisors of a poly involve only its own variables, so nothing is shared.
         return one
-    v = min(common, key=lambda j: min(a.degree_in(j), b.degree_in(j)))
-
-    if _probe_no_common_part(a, b, v):
-        ca, cb = _content(_coeffs_in(a, v)), _content(_coeffs_in(b, v))
-        if ca.is_constant() or cb.is_constant():
-            return one
-        return _gcd(ca, cb)
-    if _brown_applies(a, b):
+    try:
         return _brown(a, b)
+    except _PointsExhausted:
+        pass
 
+    v = min(common, key=lambda j: min(a.degree_in(j), b.degree_in(j)))
     ca, pa = _content_and_primitive(a, v)
     cb, pb = _content_and_primitive(b, v)
     cg = one if (ca.is_constant() or cb.is_constant()) else _gcd(ca, cb)
@@ -185,69 +180,30 @@ def _prem(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
     return r
 
 
-def _specialize(a: MvPoly, v: int, point: dict) -> list:
-    """Dense univariate image of a in v with the other variables evaluated."""
-    p = a.field.char
-    out = [0] * (a.degree_in(v) + 1)
-    for e, c in a.terms.items():
-        for j, k in enumerate(e):
-            if j != v and k:
-                c *= pow(point[j], k, p or None)
-        out[e[v]] += c
-    return u_reduce(out, p)
-
-
-def _probe_no_common_part(a: MvPoly, b: MvPoly, v: int) -> bool:
-    """Certify deg_v(gcd(a, b)) == 0 via degree-preserving specialisations."""
-    F = a.field
-    others = sorted((set(a.variables_present()) | set(b.variables_present())) - {v})
-    rng = random.Random(_PROBE_SEED + 97 * v)
-    for _ in range(_PROBE_ATTEMPTS):
-        point = {j: F.rand_nonzero(rng) for j in others}
-        ua = _specialize(a, v, point)
-        ub = _specialize(b, v, point)
-        if u_deg(ua) != a.degree_in(v) or u_deg(ub) != b.degree_in(v):
-            continue
-        return u_deg(u_gcd(ua, ub, F.char)) == 0
-    return False
-
-
-def _brown_applies(a: MvPoly, b: MvPoly) -> bool:
-    """True for two forms over F_p with p above the number of points that
-    `_brown_level` can draw at worst, so its point loop always ends.
-
-    With m = nvars - 2 variables beside the evaluated one and total degrees
-    da, db, a level draws at most da + db points where a leading
-    coefficient vanishes, m da db + (m - 1)(da + db) unlucky points (roots
-    of the y-contents of the resultants in each other variable and of the
-    leading coefficients in all but the first), and da + db + 1 points to
-    interpolate.  Lower levels have fewer variables and no larger degrees.
-    """
-    p = a.field.char
-    if not p or not (a.is_homogeneous() and b.is_homogeneous()):
-        return False
-    da, db, m = a.total_degree(), b.total_degree(), a.nvars - 2
-    return p > (m + 1) * (da + db) + m * da * db
-
-
 def _brown(a: MvPoly, b: MvPoly) -> MvPoly:
-    """gcd of two forms over F_p with no monomial content (Brown 1971).
+    """gcd of nonzero polynomials with no monomial content (Brown 1971).
 
-    X0 divides neither form, so setting X0 = 1 loses no common factor; the
-    gcd of the dehomogenised inputs is rehomogenised to its total degree.
+    Two forms are dehomogenised at X0 = 1: X0 divides neither, so no common
+    factor is lost, and the gcd is rehomogenised to its total degree.  Other
+    inputs keep all their variables, moved to slots 1..nvars.  Raises
+    _PointsExhausted when F_p has too few points.
     """
-    g = _brown_level({(0,) + e[1:]: c for e, c in a.terms.items()},
-                     {(0,) + e[1:]: c for e, c in b.terms.items()},
-                     a.nvars - 1, a.field)
-    d = max(map(sum, g))
-    return MvPoly(a.field, a.nvars, {(d - sum(e),) + e[1:]: c for e, c in g.items()})
+    F, n = a.field, a.nvars
+    if a.is_homogeneous() and b.is_homogeneous():
+        g = _brown_level({(0,) + e[1:]: c for e, c in a.terms.items()},
+                         {(0,) + e[1:]: c for e, c in b.terms.items()}, n - 1, F)
+        d = max(map(sum, g))
+        return MvPoly(F, n, {(d - sum(e),) + e[1:]: c for e, c in g.items()})
+    g = _brown_level({(0,) + e: c for e, c in a.terms.items()},
+                     {(0,) + e: c for e, c in b.terms.items()}, n, F)
+    return MvPoly(F, n, {e[1:]: c for e, c in g.items()})
 
 
 def _brown_level(a: dict, b: dict, k: int, F) -> dict:
-    """gcd of nonzero term maps in X1..Xk over F_p, by evaluation and
+    """gcd of nonzero term maps in X1..Xk (slot 0 unused), by evaluation and
     interpolation in y = Xk.
 
-    The inputs are split into coefficients in F_p[y] of monomials in
+    The inputs are split into coefficients in F[y] of monomials in
     X1..X(k-1).  The gcd is gcd(contents) times the gcd of the primitive
     parts.  At a point y0 where neither lex leading coefficient vanishes,
     the recursive gcd of the images has the leading monomial of that gcd
@@ -281,14 +237,16 @@ def _brown_level(a: dict, b: dict, k: int, F) -> dict:
         elif top > lead:
             continue
         # Newton step: H += q * (gamma(y0) g / lc(g) - H(y0)) / q(y0)
-        scale = u_eval(gamma, y0, p) * pow(g[top], -1, p)
-        qi = pow(u_eval(q, y0, p), -1, p)
+        scale = u_eval(gamma, y0, p) * _inv(g[top], p)
+        qi = _inv(u_eval(q, y0, p), p)
         for x in H.keys() | g.keys():
             row = H.get(x, [])
-            r = (scale * g.get(x, 0) - u_eval(row, y0, p)) * qi % p
+            r = (scale * g.get(x, 0) - u_eval(row, y0, p)) * qi
+            if p:
+                r %= p
             if r:
                 row = row + [0] * (len(q) - len(row))
-                H[x] = [(u + r * c) % p for u, c in zip(row, q)]
+                H[x] = u_reduce([u + r * c for u, c in zip(row, q)], p)
         q = u_reduce(u_mul(q, [-y0, 1]), p)
         if len(q) > need:
             P = _u_divide(H, _u_content(H.values(), p), p)
@@ -297,13 +255,16 @@ def _brown_level(a: dict, b: dict, k: int, F) -> dict:
                 return _join({x: u_reduce(u_mul(row, cg), p)
                               for x, row in P.items()}, k)
             lead = None
-    raise FiberboundError("evaluation points exhausted")
+    raise _PointsExhausted
 
 
 def _evaluation_points(p: int, k: int):
-    """The points of F_p in a seeded order: a progression with a random
-    start and a random nonzero step, so no point repeats."""
-    rng = random.Random(_PROBE_SEED + k)
+    """Seeded points for level k, none repeated: over Q the integers from a
+    random start on; over F_p all p points, in a progression with a random
+    start and a random nonzero step."""
+    rng = random.Random(_POINTS_SEED + k)
+    if not p:
+        return itertools.count(rng.randrange(64))
     start, step = rng.randrange(p), rng.randrange(1, p)
     return ((start + i * step) % p for i in range(p))
 

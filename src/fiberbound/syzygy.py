@@ -74,13 +74,18 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
     """Kernel basis in degree nu, RREF-normalised and re-verified symbolically."""
     if nu < 0:
         raise ValueError("degree must be nonnegative")
+    return _verified_kernel(inp, nu, *_degree_matrix(inp, nu))
+
+
+def _verified_kernel(inp: RationalMapInput, nu: int, source: list,
+                     rows: list) -> GradedKernelBasis:
+    """Kernel basis of the degree-nu matrix `rows` from `_degree_matrix`,
+    each vector re-verified as a syzygy by multiplying it out."""
     F = inp.field
     nvars = inp.nvars
-    source, rows = _degree_matrix(inp, nu)
-    ncols = len(inp.f) * len(source)
-    vectors = kernel_basis(F, rows, ncols)
-    basis = []
     k = len(source)
+    vectors = kernel_basis(F, rows, len(inp.f) * k)
+    basis = []
     for v in vectors:
         # Entry i of the syzygy holds the coefficients v[i*k:(i+1)*k].
         tup = tuple(MvPoly(F, nvars, dict(zip(source, v[i * k:(i + 1) * k])))
@@ -103,16 +108,18 @@ def indeg_syzygy(inp: RationalMapInput) -> IndegResult:
 
 def _syzygy_dimension(inp: RationalMapInput, nu: int) -> int:
     """dim Syz_nu, or a positive lower bound when there are more columns
-    than rows; a kernel basis is built only at a deficient rank."""
+    than rows; a kernel basis is built, from the same matrix, only at a
+    deficient rank."""
     m = inp.nvars - 1
     ncols = len(inp.f) * comb(nu + m, m)
     nrows = comb(nu + inp.d + m, m)
     if ncols > nrows:
         return ncols - nrows
-    r = rank(inp.field, _degree_matrix(inp, nu)[1])
+    source, rows = _degree_matrix(inp, nu)
+    r = rank(inp.field, rows)
     if r == ncols:
         return 0
-    dim = graded_syzygy_kernel(inp, nu).dimension
+    dim = _verified_kernel(inp, nu, source, rows).dimension
     if dim != ncols - r:
         raise NoSyzygyFound(f"degree {nu}: kernel basis of size {dim}, "
                             f"but the rank leaves {ncols - r}")

@@ -46,10 +46,10 @@ def _inv(c, p: int):
 
 
 def u_eval(a: list, x, p: int):
-    """Value of a at x by Horner's rule, reduced mod p (p > 0)."""
+    """Value of a at x by Horner's rule, reduced mod p (kept as it is when p = 0)."""
     v = 0
     for c in reversed(a):
-        v = (v * x + c) % p
+        v = (v * x + c) % p if p else v * x + c
     return v
 
 
@@ -124,20 +124,6 @@ def u_powmod(base: list, e: int, mod: list, p: int) -> list:
         base = u_mulmod(base, base, mod, p)
         e >>= 1
     return result
-
-
-def u_invmod(a: list, mod: list, p: int) -> list:
-    """Inverse of a modulo mod (must be coprime)."""
-    r0, r1 = list(mod), u_rem(a, mod, p)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = u_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, u_sub(s0, u_mul(q, s1), p)
-    if u_deg(r0) != 0:
-        raise ZeroDivisionError("element not invertible modulo the given polynomial")
-    inv = _inv(r0[0], p)
-    return u_reduce([x * inv for x in s0], p)
 
 
 def sqrt_mod(a: int, p: int) -> int | None:

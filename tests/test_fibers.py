@@ -8,14 +8,16 @@ from fiberbound import (BasePointError, ChainViolation, MvPoly, ProjectivePoint,
                         RationalMapInput, build_jacobian, discover_fibers,
                         fiber_equation, gcd_multivariate, gcd_of_minors,
                         minor_vanishing_check, minors,
-                        sample_hypersurface_points, tangent_rank_check,
-                        verify_bound_chain)
+                        sample_hypersurface_points, squarefree_part,
+                        tangent_rank_check, verify_bound_chain)
 from fiberbound.analysis import run_analysis
 from fiberbound.errors import CommonFactor, RationalModeUnsupported
 from fiberbound.fields import PrimeField, RationalField
 from fiberbound.fixtures import FIXTURES, make_example2, make_family
 from fiberbound.linalg import rank
 from fiberbound.syzygy import indeg_syzygy, monomials_of_degree
+
+from conftest import random_nonzero_poly
 
 
 @pytest.fixture(scope="module")
@@ -433,3 +435,28 @@ def test_discovery_finds_a_cubic_through_a_degree_3_point(field, xyz):
     assert [(r.y.coords, r.h) for r in disc.records] == \
         [((0, 0, 0, 1), c.monic())]
     assert disc.covered_degree == disc.squarefree_f_degree == 3
+
+
+def test_closed_points_on_an_uncontracted_curve_have_no_rational_image(field):
+    # f = psi(sigma) for plane quadrics sigma = (q0, q1, q2) and psi = (Y0^2,
+    # Y1^2, Y2^2, Y0 Y1 + Y1 Y2 + Y2 Y0): F is the ramification cubic of
+    # sigma, which f does not contract.  Its closed points of degree 2 and 3
+    # on a line are conjugate points with distinct images, so each is a
+    # non-rational skip, and the images of its rational points carry no fiber.
+    from fiberbound.fibers import _lines
+    from fiberbound.univariate import u_deg, u_factor
+    rng = random.Random(7)
+    q0, q1, q2 = (random_nonzero_poly(field, 3, 0, rng, homogeneous_deg=2,
+                                      density=1.0) for _ in range(3))
+    inp = RationalMapInput.create(field, [q0 ** 2, q1 ** 2, q2 ** 2,
+                                          q0 * q1 + q1 * q2 + q2 * q0])
+    F = gcd_of_minors(minors(build_jacobian(inp), 3))
+    assert F.total_degree() == 3 and squarefree_part(F) == F
+    skips = []
+    for seed in range(8):
+        [(_, _, _, u)] = _lines(F, 1, seed)
+        disc = discover_fibers(inp, F, budget=1, seed=seed)
+        assert disc.records == [] and disc.decisive
+        skips.append(disc.nonrational_skips)
+        assert skips[-1] == sum(u_deg(q) > 1 for q in u_factor(field, u))
+    assert 0 in skips and 1 in skips

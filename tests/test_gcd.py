@@ -268,7 +268,7 @@ def test_gcd_of_single_variable_inputs_in_three_variables(field, xyz):
         == x1 - 2
 
 
-# -- evaluation/interpolation gcd for forms over F_p -----------------------------
+# -- evaluation/interpolation gcd, and the PRS it falls back on ---------------
 
 def _count_brown(monkeypatch) -> list:
     calls = []
@@ -278,56 +278,112 @@ def _count_brown(monkeypatch) -> list:
     return calls
 
 
-def _forbid_brown(monkeypatch):
-    def fail(a, b):
-        raise AssertionError("entered the evaluation/interpolation gcd")
-    monkeypatch.setattr(gcd, "_brown", fail)
+def _force_prs(monkeypatch):
+    def exhausted(a, b):
+        raise gcd._PointsExhausted
+    monkeypatch.setattr(gcd, "_brown", exhausted)
 
 
-@pytest.mark.parametrize("nvars", [2, 3, 4])
-@pytest.mark.parametrize("p", [101, 2147483647])
-def test_brown_agrees_with_the_prs_on_planted_factors(p, nvars, monkeypatch):
-    F = PrimeField(p)
+BROWN_CASES = ([(p, nvars, True) for p in (101, 2147483647) for nvars in (2, 3, 4)]
+               + [(0, 2, True), (0, 3, True), (0, 2, False), (0, 3, False),
+                  (101, 3, False), (2147483647, 4, False)])
+
+
+@pytest.mark.parametrize("p, nvars, form", BROWN_CASES, ids=[
+    f"{p or 'Q'}-{nvars}" + ("" if form else "-nonform")
+    for p, nvars, form in BROWN_CASES])
+def test_brown_agrees_with_the_prs_on_planted_factors(p, nvars, form,
+                                                      monkeypatch):
+    F = PrimeField(p) if p else RationalField()
     rng = random.Random(41 + nvars)
     cases = []
     for _ in range(8):
-        a, b, c = (random_nonzero_poly(F, nvars, 0, rng,
-                                       homogeneous_deg=rng.randint(1, 2))
-                   for _ in range(3))
+        if form:
+            a, b, c = (random_nonzero_poly(F, nvars, 0, rng,
+                                           homogeneous_deg=rng.randint(1, 2))
+                       for _ in range(3))
+        else:
+            a, b, c = (random_nonzero_poly(F, nvars, 2, rng) for _ in range(3))
         cases.append((a * c, b * c, c))
     calls = _count_brown(monkeypatch)
     fast = [gcd_multivariate(x, y) for x, y, _ in cases]
     assert calls
-    monkeypatch.setattr(gcd, "_brown_applies", lambda a, b: False)
+    _force_prs(monkeypatch)
     slow = [gcd_multivariate(x, y) for x, y, _ in cases]
     assert fast == slow
     for g, (x, y, c) in zip(fast, cases):
         assert c.divides(g) and g.divides(x) and g.divides(y)
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
-def test_small_primes_keep_the_prs(p, monkeypatch):
-    # the point count that ends Brown's loop needs p above 2(da + db) + da db
-    # here, which no gcd of example2 meets at these primes
-    _forbid_brown(monkeypatch)
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_small_primes_agree_with_the_prs(p, monkeypatch):
     text = (pathlib.Path(__file__).resolve().parent.parent / "maps"
             / "example2.map").read_text()
     text = "".join(f"field p={p}\n" if ln.startswith("field") else ln
                    for ln in text.splitlines(True))
-    rep = run_analysis(parse_map_file(text), seed=42, budget=40)
+    inp = parse_map_file(text)
+    calls = _count_brown(monkeypatch)
+    rep = run_analysis(inp, seed=42, budget=40)
     d = rep.to_json_dict()
-    assert (d["degF"], d["indegSyz"]) == (11, 2)
+    assert (d["degF"], d["indegSyz"]) == (11, 2) and calls
+    _force_prs(monkeypatch)
+    assert run_analysis(inp, seed=42, budget=40).to_json() == rep.to_json()
 
 
-def test_coprime_inputs_never_enter_brown(monkeypatch):
-    # a dense P^2 --> P^3 map has F = 1: the probe certifies every gcd
-    _forbid_brown(monkeypatch)
+def test_points_run_out_and_the_prs_takes_over(monkeypatch):
+    # Dehomogenised, a's top power of X1 has the coefficient X2^5 - X2, which
+    # vanishes at every point of F_5, so Brown's gcd can draw no point.
+    F = PrimeField(5)
+    x0, x1, x2 = (MvPoly.variable(F, 3, j) for j in range(3))
+    c = x1 + x2
+    a = c * (x1 ** 2 * (x2 ** 5 - x0 ** 4 * x2) + x0 ** 7)
+    b = c * (x0 + x1)
+    real, ran_out = gcd._brown, []
+
+    def brown(u, v):
+        try:
+            return real(u, v)
+        except gcd._PointsExhausted:
+            ran_out.append((u, v))
+            raise
+    monkeypatch.setattr(gcd, "_brown", brown)
+    assert gcd_multivariate(a, b) == c
+    assert ran_out == [(a, b)]
+
+
+def test_coprime_inputs_draw_one_point_per_level(monkeypatch):
+    # the first lucky image of two coprime forms is constant, which certifies
+    # the gcd at once; a dense P^2 --> P^3 map has F = 1
     F = PrimeField()
     rng = random.Random(43)
     forms = [random_nonzero_poly(F, 3, 0, rng, homogeneous_deg=4, density=1.0)
              for _ in range(4)]
+    real, drawn = gcd._evaluation_points, []
+
+    def points(p, k):
+        for y0 in real(p, k):
+            drawn.append(k)
+            yield y0
+    monkeypatch.setattr(gcd, "_evaluation_points", points)
+    calls = _count_brown(monkeypatch)
+    assert gcd_multivariate(forms[0], forms[1]).is_constant()
+    assert len(calls) == 1 and drawn == [2]
     rep = run_analysis(RationalMapInput.create(F, forms), seed=1, budget=40)
     assert rep.jacobian.F.is_constant()
+
+
+def test_prs_hard_cases_have_their_planted_answers():
+    # non-forms in several variables, where the content recursion of the PRS
+    # blows up: a gcd over Q in four variables and a square-free part over
+    # F_101 in three
+    rng = random.Random(44)
+    Q = RationalField()
+    a, b, c = (random_nonzero_poly(Q, 4, deg, rng, density=1.0)
+               for deg in (2, 3, 2))
+    assert gcd_multivariate(a * c, b * c) == c.monic()
+    F = PrimeField(101)
+    a, c = (random_nonzero_poly(F, 3, 3, rng, density=1.0) for _ in range(2))
+    assert squarefree_part(a * c * c) == (a * c).monic()
 
 
 @pytest.mark.parametrize("c_has_y, first, retried", [

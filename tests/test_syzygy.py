@@ -151,11 +151,11 @@ def test_dense_maps_hit_at_the_counted_degree(field, monkeypatch):
         ranks.append(len(rows[0]))
         return real_rank(F, rows)
 
-    def no_kernel(inp, nu):
-        raise AssertionError(f"kernel basis built at degree {nu}")
+    def no_kernel(F, rows, ncols):
+        raise AssertionError(f"kernel basis built for {ncols} columns")
 
     monkeypatch.setattr(syz_mod, "rank", counting)
-    monkeypatch.setattr(syz_mod, "graded_syzygy_kernel", no_kernel)
+    monkeypatch.setattr(syz_mod, "kernel_basis", no_kernel)
     for d in range(3, 7):
         inp = _dense_map(field, rng, d)
         counted = next(nu for nu in range(d + 1)
