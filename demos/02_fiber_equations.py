@@ -1,9 +1,10 @@
 """Fiber equations h_y and the discovery of contracted divisors.
 
 For a target point y, the divisorial part of the fiber is cut out by
-h_y = gcd of the combinations f_i - y_i * f_{i0} / y_{i0}.  Sampling the
-square-free part of F and pushing points through the map finds every y
-with a one-dimensional fiber.
+h_y = gcd of the combinations f_i - y_i * f_{i0} / y_{i0}.  Discovery
+restricts the square-free part of F to lines, factors each restriction into
+closed points of Z(F) and pushes them through the map; the first decisive
+line finds every rational y with a one-dimensional fiber.
 """
 
 from fiberbound import (ProjectivePoint, discover_fibers, fiber_equation,
@@ -34,7 +35,9 @@ for r in disc.records:
     total += r.deg_h
 print(f"sum of fiber degrees: {total}")
 print(f"coverage: {disc.covered_degree} of deg(squarefree(F)) = "
-      f"{disc.squarefree_f_degree}; the rest of Z(F) is not contracted")
+      f"{disc.squarefree_f_degree}; the rest of Z(F) is "
+      + ("contracted to no rational point (decisive line)" if disc.decisive
+         else "unexplained within the budget"))
 print("\nNote the point (1 : 0 : -1 : 0): its divisor X0^2 + X2^2 has just")
 print("one rational point (a base point), so it is only reachable through")
-print("the conjugate quadratic points the sampler takes along each line.")
+print("the conjugate quadratic points that discovery factors out of a line.")

@@ -89,25 +89,6 @@ def build_jacobian(inp: RationalMapInput) -> list:
     return [[fi.derivative(j) for j in range(inp.nvars)] for fi in inp.f]
 
 
-def _det(matrix: list) -> MvPoly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    acc = None
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        sub = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = entry * _det(sub)
-        if j % 2 == 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return MvPoly.zero(matrix[0][0].field, matrix[0][0].nvars)
-    return acc
-
-
 @dataclass(frozen=True)
 class Minor:
     rows: tuple
@@ -118,16 +99,34 @@ class Minor:
 def minors(jac: list, s: int) -> list:
     """All s-minors by cofactor expansion, zero minors included.
 
-    Index sets are strictly increasing, so no minor appears twice.
+    Index sets are strictly increasing, so no minor appears twice.  Each
+    minor is expanded along its first row; the sub-minors it needs are kept
+    for the call by (rows, cols), so minors that share one compute it once.
     """
     nrows, ncols = len(jac), len(jac[0])
     if not 1 <= s <= min(nrows, ncols):
         raise SOutOfRange(f"minor size {s} outside 1..{min(nrows, ncols)}")
-    out = []
-    for rset in itertools.combinations(range(nrows), s):
-        for cset in itertools.combinations(range(ncols), s):
-            sub = [[jac[i][j] for j in cset] for i in rset]
-            out.append(Minor(rset, cset, _det(sub)))
+    memo = {}
+
+    def det(rows: tuple, cols: tuple) -> MvPoly:
+        if len(rows) == 1:
+            return jac[rows[0]][cols[0]]
+        if (rows, cols) not in memo:
+            acc = MvPoly.zero(jac[0][0].field, jac[0][0].nvars)
+            for j, col in enumerate(cols):
+                entry = jac[rows[0]][col]
+                if entry.is_zero():
+                    continue
+                term = entry * det(rows[1:], cols[:j] + cols[j + 1:])
+                acc = acc - term if j % 2 else acc + term
+            memo[rows, cols] = acc
+        return memo[rows, cols]
+
+    out = [Minor(rset, cset, det(rset, cset))
+           for rset in itertools.combinations(range(nrows), s)
+           for cset in itertools.combinations(range(ncols), s)]
+    # det refers to itself, so only the cycle collector would free memo.
+    memo.clear()
     return out
 
 
@@ -140,7 +139,6 @@ def gcd_of_minors(minors3) -> MvPoly:
 
 @dataclass
 class JacobianReport:
-    jac: list
     minors3: list
     F: MvPoly | None
     degF: int | None
@@ -154,7 +152,7 @@ def jacobian_report(inp: RationalMapInput) -> JacobianReport:
     i3 = any(not mn.poly.is_zero() for mn in m3)
     F = gcd_of_minors(m3) if i3 else None
     itop, _ = generic_finiteness_check(inp, jac=jac, minors3=m3)
-    return JacobianReport(jac=jac, minors3=m3, F=F,
+    return JacobianReport(minors3=m3, F=F,
                           degF=F.total_degree() if F is not None else None,
                           i3_nonzero=i3, i_top_nonzero=itop)
 
@@ -194,9 +192,8 @@ def euler_syzygy(inp: RationalMapInput, F: MvPoly, minors3=None) -> EulerSyzygy:
         except NotDivisible as exc:
             raise FDoesNotDivideMinor(
                 f"F does not divide a signed minor: {exc}") from exc
-    combo = MvPoly.zero(inp.field, inp.nvars)
-    for ai, fi in zip(a, inp.f):
-        combo = combo + ai * fi
+    combo = sum((ai * fi for ai, fi in zip(a, inp.f)),
+                MvPoly.zero(inp.field, inp.nvars))
     if not combo.is_zero():
         raise FDoesNotDivideMinor("constructed tuple is not a syzygy")
     delta = 3 * (inp.d - 1) - F.total_degree()
@@ -231,13 +228,9 @@ def fitting_invariance_check(inp: RationalMapInput, change, F=None) -> bool:
         raise SingularChange("change of basis is singular")
     if F is None:
         F = gcd_of_minors(minors(build_jacobian(inp), 3))
-    g = []
-    for row in C:
-        acc = MvPoly.zero(Fld, inp.nvars)
-        for cij, fj in zip(row, inp.f):
-            acc = acc + fj.scale(cij)
-        g.append(acc)
-    ginp = RationalMapInput(field=Fld, varnames=inp.varnames, f=tuple(g))
+    g = tuple(sum((fj.scale(cij) for cij, fj in zip(row, inp.f)),
+                  MvPoly.zero(Fld, inp.nvars)) for row in C)
+    ginp = RationalMapInput(field=Fld, varnames=inp.varnames, f=g)
     F2 = gcd_of_minors(minors(build_jacobian(ginp), 3))
     return F.monic() == F2.monic()
 

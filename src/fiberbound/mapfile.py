@@ -36,11 +36,14 @@ def _tokenize(text: str, lineno: int, col0: int):
             i += 1
             continue
         col = col0 + i
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("int", int(text[i:j]), col))
+            try:
+                tokens.append(("int", int(text[i:j]), col))
+            except ValueError:  # more digits than int() converts
+                raise ParseError("integer literal is too long", lineno, col) from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -85,14 +88,10 @@ class _ExprParser:
         return poly
 
     def expr(self) -> MvPoly:
-        sign = 1
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.take()
-            sign = -1 if val == "-" else 1
-        acc = self.term()
-        if sign < 0:
-            acc = -acc
+        acc = -self.term() if (kind, val) == ("op", "-") else self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -149,7 +148,11 @@ def parse_polynomial(text: str, field, varnames, lineno: int = 1,
                      col0: int = 1) -> MvPoly:
     varindex = {name: i for i, name in enumerate(varnames)}
     tokens = _tokenize(text, lineno, col0)
-    return _ExprParser(tokens, lineno, field, varindex, len(varnames)).parse()
+    parser = _ExprParser(tokens, lineno, field, varindex, len(varnames))
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply", lineno) from None
 
 
 def parse_map_file(text: str) -> RationalMapInput:
@@ -189,8 +192,11 @@ def parse_map_file(text: str) -> RationalMapInput:
                 raise ParseError("vars line declares no variables", lineno)
             if len(set(varnames)) != len(varnames):
                 raise ParseError("duplicate variable name", lineno)
-        elif head.startswith("f") and head[1:].isdigit():
-            idx = int(head[1:])
+        elif head.startswith("f") and head[1:].isdecimal():
+            try:
+                idx = int(head[1:])
+            except ValueError:  # more digits than int() converts
+                raise ParseError("label number is too long", lineno) from None
             if idx in flines:
                 raise ParseError(f"duplicate label {head}", lineno)
             flines[idx] = (rest, lineno, rest_col)
@@ -202,7 +208,7 @@ def parse_map_file(text: str) -> RationalMapInput:
         raise ParseError("missing 'vars' line")
     if not flines:
         raise ParseError("no polynomial lines f0..fn")
-    n = max(flines)
+    n = len(flines) - 1  # distinct labels are f0..fn iff none below is missing
     missing = [i for i in range(n + 1) if i not in flines]
     if missing:
         raise ParseError(f"missing labels: {', '.join('f%d' % i for i in missing)}")

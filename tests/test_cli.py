@@ -192,11 +192,17 @@ def test_fiber_json_over_rationals(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["max-degree", "directory", "not-utf8",
-                                  "budget-analyze", "budget-selftest"])
+                                  "budget-analyze", "budget-selftest",
+                                  "superscript", "long-literal", "nesting"])
 def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
     latin1 = tmp_path / "latin1.map"
     latin1.write_bytes("# caf\u00e9\n".encode("latin-1")
                        + (MAPS / "family_d4.map").read_bytes())
+    for name, f0 in (("superscript", "X0^\u00b2"),
+                     ("long-literal", "9" * 4400 + "*X0^2"),
+                     ("nesting", "(" * 400 + "X0^2" + ")" * 400)):
+        (tmp_path / f"{name}.map").write_text(
+            f"vars X0 X1 X2\nf0 {f0}\nf1 X1^2\nf2 X2^2\n", encoding="utf-8")
     argv, message = {
         "max-degree": (["syzygy", str(MAPS / "example2.map"),
                         "--max-degree", "-1"], "--max-degree"),
@@ -205,6 +211,12 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
         "budget-analyze": (["analyze", str(MAPS / "family_d4.map"), "--json",
                             "--budget", "-3"], "--budget"),
         "budget-selftest": (["selftest", "--budget", "-3"], "--budget"),
+        "superscript": (["analyze", str(tmp_path / "superscript.map")],
+                        "unexpected character"),
+        "long-literal": (["analyze", str(tmp_path / "long-literal.map")],
+                         "too long"),
+        "nesting": (["analyze", str(tmp_path / "nesting.map")],
+                    "nested too deeply"),
     }[case]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""

@@ -1,5 +1,6 @@
 """Jacobian construction, minors, F, the Euler syzygy, and invariance checks."""
 
+import itertools
 import random
 
 import pytest
@@ -76,6 +77,61 @@ def test_minors_s_out_of_range(field, xyz):
         minors(jac, 4)
     with pytest.raises(SOutOfRange):
         minors(jac, 0)
+
+
+def _leibniz(jac, rows, cols):
+    """det of the submatrix as a signed sum over permutations."""
+    one = MvPoly.one(jac[0][0].field, jac[0][0].nvars)
+    acc = one - one
+    for perm in itertools.permutations(range(len(rows))):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * jac[rows[i]][cols[j]]
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        acc = acc - term if inversions % 2 else acc + term
+    return acc
+
+
+def _dense_map(field, nvars, count, d, seed):
+    rng = random.Random(seed)
+    while True:
+        polys = [random_poly(field, nvars, d, rng, homogeneous_deg=d,
+                             density=1.0) for _ in range(count)]
+        try:
+            return RationalMapInput.create(field, polys)
+        except CommonFactor:
+            continue
+
+
+@pytest.mark.parametrize("make", [lambda f: _dense_map(f, 4, 5, 3, 17),
+                                  lambda f: make_example2()],
+                         ids=["dense_5x4", "example2_4x3"])
+def test_minors_match_leibniz_expansion(field, make):
+    jac = build_jacobian(make(field))
+    nrows, ncols = len(jac), len(jac[0])
+    for s in range(1, min(nrows, ncols) + 1):
+        got = minors(jac, s)
+        index_sets = [(r, c) for r in itertools.combinations(range(nrows), s)
+                      for c in itertools.combinations(range(ncols), s)]
+        assert [(mn.rows, mn.cols) for mn in got] == index_sets
+        for mn in got:
+            assert mn.poly == _leibniz(jac, mn.rows, mn.cols)
+
+
+@pytest.mark.parametrize("nvars, count, products", [(3, 4, 30), (4, 5, 192)],
+                         ids=["4x3", "5x4"])
+def test_minors_compute_each_sub_minor_once(field, monkeypatch, nvars, count,
+                                            products):
+    # Every entry is nonzero, so each 3-minor takes 3 products and each
+    # distinct 2-minor below a first row takes 2; none is computed twice.
+    jac = build_jacobian(_dense_map(field, nvars, count, 3, 5))
+    assert all(not entry.is_zero() for row in jac for entry in row)
+    calls = []
+    mul = MvPoly.__mul__
+    monkeypatch.setattr(MvPoly, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    minors(jac, 3)
+    assert len(calls) == products
 
 
 def test_gcd_of_minors_example2(field, xyz):
@@ -247,6 +303,15 @@ def test_generic_finiteness_identity_and_fixtures(field, xyz):
     assert generic_finiteness_check(ident) == (True, True)
     itop, i3 = generic_finiteness_check(make_example2())
     assert itop and i3
+
+
+def test_generic_finiteness_exact_fallback_on_top_minors(field):
+    # The forms omit X3, so the X3 column of J is zero: no evaluation reaches
+    # rank 4 and the 4-minors are expanded exactly; they all vanish.
+    x0, x1, x2 = (MvPoly.variable(field, 4, j) for j in range(3))
+    inp = RationalMapInput.create(
+        field, [x0 ** 2, x1 ** 2, x2 ** 2, x0 * x1, x1 * x2])
+    assert generic_finiteness_check(inp) == (False, True)
 
 
 def test_validation_errors(field, xyz):

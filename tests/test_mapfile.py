@@ -115,3 +115,44 @@ def test_parse_negative_leading_sign():
     F = PrimeField()
     p = parse_polynomial("-X0^2 + 2*X1^2", F, ("X0", "X1"))
     assert p.to_str(("X0", "X1")) == "-X0^2 + 2*X1^2"
+
+
+def test_integer_literals_are_decimal_digits():
+    F = PrimeField()
+    # Arabic-Indic three is a decimal digit; superscript two is not.
+    assert parse_polynomial("X0^٣", F, ("X0",)) == \
+        parse_polynomial("X0^3", F, ("X0",))
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("X0^²", F, ("X0",))
+    assert exc.value.col == 4
+
+
+def test_overlong_integer_literal_is_a_parse_error():
+    F = PrimeField()
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial("X0 + " + "7" * 5000, F, ("X0",), lineno=3)
+    assert (exc.value.line, exc.value.col) == (3, 6)
+
+
+def test_deep_parentheses_are_a_parse_error():
+    F = PrimeField()
+    text = "(" * 400 + "X0" + ")" * 400
+    with pytest.raises(ParseError) as exc:
+        parse_polynomial(text, F, ("X0",), lineno=5)
+    assert exc.value.line == 5 and "nested" in str(exc.value)
+    # moderate nesting still parses
+    assert parse_polynomial("(" * 50 + "X0" + ")" * 50, F, ("X0",)) == \
+        parse_polynomial("X0", F, ("X0",))
+
+
+def test_label_numbers_are_decimal_and_bounded():
+    with pytest.raises(ParseError) as exc:
+        parse_map_file("vars X0 X1\nf0 X0^2\nf² X1^2\n")
+    assert exc.value.line == 3
+    # A gap is reported below the label count, not up to the largest label.
+    with pytest.raises(ParseError) as exc:
+        parse_map_file("vars X0 X1\nf0 X0^2\nf2000000 X1^2\n")
+    assert str(exc.value) == "missing labels: f1"
+    with pytest.raises(ParseError) as exc:
+        parse_map_file("vars X0 X1\nf0 X0^2\nf" + "1" * 4400 + " X1^2\n")
+    assert exc.value.line == 3 and "too long" in str(exc.value)
