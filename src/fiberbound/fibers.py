@@ -1,5 +1,5 @@
-"""Fiber equations, hypersurface sampling, discovery of contracted divisors,
-and the degree-bound chain certificate.
+"""Fiber equations, discovery of contracted divisors, and the degree-bound
+chain certificate.
 
 Every divisor contracted by the map lies inside Z(F), so the target points
 with (m-1)-dimensional fibers are images of points of Z(squarefree(F)); the
@@ -11,13 +11,13 @@ the restriction of squarefree(F) to each line completely over F_p.  Each
 irreducible factor q is a closed point of degree deg q on the line, and
 points of every degree count: a component of Z(F) can be F_p-rational as a
 divisor while carrying almost no F_p-rational points (conjugate lines
-meeting in a single base point, say).  The image of a closed point is
-computed modulo q, and whenever it turns out to be rational its fiber
-equation is computed.  The line's point at infinity is classified too when
-it lies on Z(F).  Discovery stops at the first line on which every point is
-a simple intersection off the base locus (see `discover_fibers`), so the
-line budget is only a cap; the coverage numbers in the result quantify
-anything left unexplained.
+meeting in a single base point, say).  The line's point at infinity is one
+more closed point when it lies on Z(F).  The image of each point is read
+off the restrictions of the forms, and whenever it turns out to be rational
+its fiber equation is computed.  Discovery stops at the first line with no
+base point among these points, which finds every record (see
+`discover_fibers`); `budget` caps the walk only when no line does, and the
+coverage numbers in the result quantify anything left unexplained.
 """
 
 from __future__ import annotations
@@ -196,25 +196,23 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
     Z(sf), sf = squarefree(F), stopping at the first decisive line.
 
     On each line L, the restriction u = sf|_L is factored completely; every
-    irreducible factor is a closed point of Z(sf) on L, and the point at
-    infinity b (b[c] = 0 in the line's chart) lies on Z(sf) when
-    deg u < deg sf.  Each such point off the base locus is pushed through
-    the map; a rational image y is handed to `consider`, which computes its
-    fiber equation once.  L is decisive when every point of Z(sf) on it is
-    a simple intersection off the base locus: u is square-free, deg sf -
-    deg u <= 1, and neither b (when it is on Z(sf)) nor any factor of u
-    lies in the base locus.
+    distinct irreducible factor is a closed point of Z(sf) on L, and the
+    point at infinity b (b[c] = 0 in the line's chart) is one more when deg
+    u < deg sf.  Each point off the base locus is pushed through the map; a
+    rational image y is handed to `consider`, which computes its fiber
+    equation once.  L is decisive when none of these points is a base
+    point.
 
     One decisive line finds every record.  A divisor C contracted to a
     rational y lies in Z(F), so it is a union of components of Z(sf) and
-    meets L in some point x of Z(sf), off the base locus.  The map is
+    meets L in some closed point x of Z(sf), off the base locus.  The map is
     constantly y on C wherever it is defined, so the image of x is y and
-    `consider(y)` finds y's record.  (The argument needs only the base
-    locus condition; asking for simple intersections as well keeps the stop
-    to lines in general position, as a generic line is.)  Discovery
-    therefore stops after the first decisive line, or as soon as the
-    records cover all of sf; `budget` caps the lines walked when neither
-    happens.
+    `consider(y)` finds y's record.  This needs no simple intersection: if
+    L is tangent to Z(sf) at x, or x is a singular point of Z(sf), x is a
+    repeated factor of u (or b has multiplicity deg sf - deg u > 1), and it
+    is still listed once.  Discovery therefore stops after the first
+    decisive line, or as soon as the records cover all of sf; `budget` caps
+    the lines walked when neither happens.
     """
     Fld = inp.field
     p = Fld.char
@@ -256,24 +254,19 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
         if not u:
             degenerate += 1
             continue
-        factors = u_factor(Fld, u, seed=rng.randrange(1 << 30))
-        at_infinity = deg_sf - u_deg(u)     # intersection multiplicity at b
-        decisive = (at_infinity <= 1
-                    and sum(u_deg(q) for q in factors) == u_deg(u))
         f_on_line = [fi.on_line(a, b) for fi in inp.f]
-        if at_infinity:
-            # f_i(a + t b) = f_i(b) t^d + lower terms: b's image is the top row.
-            fvals = [fl[inp.d] if len(fl) > inp.d else 0 for fl in f_on_line]
-            if any(fvals):
-                consider(fvals)
-            else:
-                base_skips += 1
-                decisive = False
-        for q in factors:
-            # The point's image in F_p[t]/(q): the residues have degree below
-            # deg q, so it is rational iff each is an F_p-multiple y_i of the
-            # pivot residue.
-            residues = [u_rem(fl, q, p) for fl in f_on_line]
+        # Each closed point's image as residues of the f_i|L: modulo an
+        # irreducible factor q of u, and at infinity, where f_i(a + t b) =
+        # f_i(b) t^d + lower terms, the t^d row.
+        points = [[u_rem(fl, q, p) for fl in f_on_line]
+                  for q in u_factor(Fld, u, seed=rng.randrange(1 << 30))]
+        if u_deg(u) < deg_sf:
+            points.append([fl[inp.d:] for fl in f_on_line])
+        decisive = True
+        for residues in points:
+            # The residues have degree below deg q (constants at infinity),
+            # so the image is rational iff each is an F_p-multiple y_i of
+            # the pivot residue.
             pivot = next((r for r in residues if r), None)
             if pivot is None:
                 base_skips += 1

@@ -177,8 +177,10 @@ def parse_map_file(text: str) -> RationalMapInput:
             elif spec.startswith("p="):
                 try:
                     p = int(spec[2:])
-                except ValueError:
-                    raise ParseError("field modulus must be an integer", lineno)
+                except ValueError:  # also more digits than int() converts
+                    why = ("is too long" if spec[2:].isdecimal()
+                           else "must be an integer")
+                    raise ParseError(f"field modulus {why}", lineno) from None
                 try:
                     field = PrimeField(p)
                 except ValueError as exc:

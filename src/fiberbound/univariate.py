@@ -11,11 +11,13 @@ unreduced, so a multiply-then-divide reduces only once.
 Factorization over F_p follows the classical route (Cantor-Zassenhaus;
 von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14): a distinct-degree
 split peels off, for k = 1, 2, ..., the product gcd(a, t^(p^k) - t) of the
-irreducible factors of degree k, and a randomised equal-degree split
-separates each product into its factors.  Root finding is the k = 1 case,
-finishing degree-2 pieces with the quadratic formula.  All randomness flows
-through an explicit seed, and the results are sorted, so they do not depend
-on it.
+irreducible factors of degree k and divides every copy of them out of a, so
+a need not be square-free; a randomised equal-degree split separates each
+product into its factors, finishing two linear factors with the quadratic
+formula.  Roots and irreducible quadratics are the degree-1 and degree-2
+factors.
+All randomness flows through an explicit seed, and the results are sorted,
+so they do not depend on it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .errors import PthPowerHazard, RationalModeUnsupported
+from .errors import RationalModeUnsupported
 
 
 def u_trim(a: list) -> list:
@@ -156,22 +158,26 @@ def sqrt_mod(a: int, p: int) -> int | None:
 
 
 def _distinct_degree(a: list, p: int) -> list:
-    """[(k, g_k)]: g_k is the product of the degree-k irreducible factors of
-    the monic square-free a.  t^p mod a is computed once; each further
-    degree costs one p-th power."""
+    """[(k, g_k)]: g_k is the product of the distinct degree-k irreducible
+    factors of the monic a.  a need not be square-free: a is divided by g_k,
+    then by its gcd with what is left until that is 1, which takes out every
+    copy.  t^p mod a is computed once; each further degree costs one p-th
+    power."""
     out = []
     t = [0, 1]
     h = t
     k = 0
-    # Once deg a < 2(k + 1), a has no two factors of degree > k left, so
-    # what remains is irreducible.
+    # Once deg a < 2(k + 1), a has no two factors of degree > k left, equal
+    # or not, so what remains is irreducible.
     while u_deg(a) >= 2 * (k + 1):
         k += 1
         h = u_powmod(h, p, a, p)
         g = u_gcd(u_sub(h, t, p), a, p)
         if u_deg(g) > 0:
             out.append((k, g))
+        while u_deg(g) > 0:
             a = u_divmod(a, g, p)[0]
+            g = u_gcd(a, g, p)
     if u_deg(a) > 0:
         out.append((u_deg(a), a))
     return out
@@ -202,50 +208,30 @@ def _equal_degree(g: list, k: int, p: int, rng: random.Random) -> list:
 def u_factor(F, a: list, seed: int = 0) -> list:
     """The distinct monic irreducible factors of a nonzero a over F_p.
 
-    Sorted by degree, then by coefficients.  a is square-free exactly when
-    the factor degrees sum to deg a.  A repeated factor is divided out
-    through gcd(a, a'), which needs p > deg a.  Raises
-    RationalModeUnsupported when F is the rationals.
+    Sorted by degree, then by coefficients.  a need not be square-free: the
+    distinct-degree split divides out every copy of each factor, so any p
+    and any degree work, and a is square-free exactly when the factor
+    degrees sum to deg a.  Raises RationalModeUnsupported when F is the
+    rationals.
     """
     p = F.char
     if not p:
         raise RationalModeUnsupported("factorization requires a prime field")
     if not a:
         raise ValueError("factorization needs a nonzero polynomial")
-    a = u_monic(u_reduce(a, p), p)
-    if u_deg(a) <= 0:
-        return []
-    g = u_gcd(a, u_reduce([i * c for i, c in enumerate(a)][1:], p), p)   # a'
-    if u_deg(g) > 0:
-        if p <= u_deg(a):
-            raise PthPowerHazard(f"characteristic {p} <= degree {u_deg(a)}: "
-                                 "p-th powers would collapse")
-        a = u_divmod(a, g, p)[0]
     rng = random.Random(seed)
-    factors = [q for k, prod in _distinct_degree(a, p)
+    factors = [q for k, prod in _distinct_degree(u_monic(u_reduce(a, p), p), p)
                for q in _equal_degree(prod, k, p, rng)]
     return sorted(factors, key=lambda q: (len(q), q))
 
 
 def u_roots(F, a: list, seed: int = 0) -> list:
-    """All roots in F_p of a nonzero dense polynomial, sorted ascending.
-
-    Deterministic for a given seed.  Raises RationalModeUnsupported when F
-    is the rationals.
-    """
-    p = F.char
-    if not p:
-        raise RationalModeUnsupported("root finding requires a prime field")
-    if not a:
-        raise ValueError("root finding needs a nonzero polynomial")
-    a = u_reduce(a, p)
-    if u_deg(a) <= 0:
-        return []
-    a = u_monic(a, p)
-    g = u_gcd(u_sub(u_powmod([0, 1], p, a, p), [0, 1], p), a, p)
-    return sorted(-q[0] % p for q in _equal_degree(g, 1, p, random.Random(seed)))
+    """All roots in F_p of a nonzero dense polynomial, sorted ascending: the
+    degree-1 view of `u_factor`, and raising as it does."""
+    return sorted(-q[0] % F.char for q in u_factor(F, a, seed) if u_deg(q) == 1)
 
 
 def irreducible_quadratics(F, a: list, seed: int = 0) -> list:
-    """Monic irreducible quadratic factors of a, each listed once."""
+    """Monic irreducible quadratic factors of a, each listed once: the
+    degree-2 view of `u_factor`."""
     return [q for q in u_factor(F, a, seed) if u_deg(q) == 2]

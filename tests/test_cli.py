@@ -193,7 +193,8 @@ def test_fiber_json_over_rationals(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["max-degree", "directory", "not-utf8",
                                   "budget-analyze", "budget-selftest",
-                                  "superscript", "long-literal", "nesting"])
+                                  "superscript", "long-literal", "nesting",
+                                  "long-modulus"])
 def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
     latin1 = tmp_path / "latin1.map"
     latin1.write_bytes("# caf\u00e9\n".encode("latin-1")
@@ -203,6 +204,9 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
                      ("nesting", "(" * 400 + "X0^2" + ")" * 400)):
         (tmp_path / f"{name}.map").write_text(
             f"vars X0 X1 X2\nf0 {f0}\nf1 X1^2\nf2 X2^2\n", encoding="utf-8")
+    (tmp_path / "long-modulus.map").write_text(
+        "field p=" + "7" * 4400 + "\nvars X0 X1 X2\nf0 X0^2\nf1 X1^2\n"
+        "f2 X2^2\n", encoding="utf-8")
     argv, message = {
         "max-degree": (["syzygy", str(MAPS / "example2.map"),
                         "--max-degree", "-1"], "--max-degree"),
@@ -217,6 +221,8 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
                          "too long"),
         "nesting": (["analyze", str(tmp_path / "nesting.map")],
                     "nested too deeply"),
+        "long-modulus": (["analyze", str(tmp_path / "long-modulus.map")],
+                         "field modulus is too long"),
     }[case]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""

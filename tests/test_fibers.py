@@ -13,9 +13,11 @@ from fiberbound import (BasePointError, ChainViolation, MvPoly, ProjectivePoint,
 from fiberbound.analysis import run_analysis
 from fiberbound.errors import CommonFactor, RationalModeUnsupported
 from fiberbound.fields import PrimeField, RationalField
+from fiberbound.fibers import _lines
 from fiberbound.fixtures import FIXTURES, make_example2, make_family
 from fiberbound.linalg import rank
 from fiberbound.syzygy import indeg_syzygy, monomials_of_degree
+from fiberbound.univariate import u_deg, u_factor
 
 from conftest import random_nonzero_poly
 
@@ -358,10 +360,10 @@ def test_discovery_stops_on_a_decisive_line(pinned_maps):
             assert 1 <= disc.lines <= 2, (fx.name, seed, disc.lines)
 
 
-@pytest.mark.parametrize("p", [13, 17])
+@pytest.mark.parametrize("p", [13, 17, 23, 29, 37])
 def test_discovery_walks_on_past_lines_through_base_points(p):
-    # over a small field many lines meet a base point or are tangent, so
-    # the first line is often not decisive and misses records
+    # over a small field many lines meet a base point, so the first line is
+    # often not decisive and misses records
     fx = next(fx for fx in FIXTURES if fx.name == "example2")
     inp = make_example2(PrimeField(p))
     F = gcd_of_minors(minors(build_jacobian(inp), 3))
@@ -374,6 +376,24 @@ def test_discovery_walks_on_past_lines_through_base_points(p):
                                          COVERED["example2"]), seed
         walked.append(disc.lines)
     assert max(walked) > 1
+
+
+def test_a_line_tangent_to_z_sf_with_no_base_point_is_decisive():
+    # Over F_17 the first line of seed 4 meets Z(sf) in a repeated point or
+    # in a multiple point at infinity, so it is not in general position; no
+    # base point lies on it, and it finds every record of example2.
+    inp = make_example2(PrimeField(17))
+    F = gcd_of_minors(minors(build_jacobian(inp), 3))
+    sf = squarefree_part(F)
+    rng, a, b, u = next(_lines(sf, 1, 4))
+    factors = u_factor(inp.field, u, seed=rng.randrange(1 << 30))
+    assert (sum(u_deg(q) for q in factors) < u_deg(u)
+            or sf.total_degree() - u_deg(u) >= 2)
+    disc = discover_fibers(inp, F, budget=200, seed=4)
+    assert disc.decisive and disc.lines == 1 and not disc.base_locus_skips
+    assert (sum(r.deg_h for r in disc.records),
+            sum(r.weighted_deg for r in disc.records)) == (8, 9)
+    assert disc.covered_degree == 7
 
 
 def test_a_line_through_a_base_point_is_not_decisive():
@@ -443,8 +463,6 @@ def test_closed_points_on_an_uncontracted_curve_have_no_rational_image(field):
     # sigma, which f does not contract.  Its closed points of degree 2 and 3
     # on a line are conjugate points with distinct images, so each is a
     # non-rational skip, and the images of its rational points carry no fiber.
-    from fiberbound.fibers import _lines
-    from fiberbound.univariate import u_deg, u_factor
     rng = random.Random(7)
     q0, q1, q2 = (random_nonzero_poly(field, 3, 0, rng, homogeneous_deg=2,
                                       density=1.0) for _ in range(3))

@@ -156,3 +156,13 @@ def test_label_numbers_are_decimal_and_bounded():
     with pytest.raises(ParseError) as exc:
         parse_map_file("vars X0 X1\nf0 X0^2\nf" + "1" * 4400 + " X1^2\n")
     assert exc.value.line == 3 and "too long" in str(exc.value)
+
+
+def test_overlong_field_modulus_is_its_own_parse_error():
+    with pytest.raises(ParseError) as exc:
+        parse_map_file("field p=" + "7" * 4400 + "\nvars X0\nf0 X0\n")
+    assert exc.value.line == 1
+    assert str(exc.value).startswith("field modulus is too long")
+    with pytest.raises(ParseError) as exc:
+        parse_map_file("field p=seven\nvars X0\nf0 X0\n")
+    assert str(exc.value).startswith("field modulus must be an integer")

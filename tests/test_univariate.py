@@ -164,6 +164,34 @@ def test_factor_returns_an_irreducible_whole(p):
         u_factor(F, [])
 
 
+def test_factor_needs_no_square_free_input():
+    # (t - 2)^8 (t^2 + 1) over F_7: its degree exceeds p and (t - 2)^7 is a
+    # p-th power, which a square-free pass through gcd(a, a') cannot handle
+    F7 = PrimeField(7)
+    a = _product(7, [[5, 1]] * 8 + [[1, 0, 1]], 1)
+    assert u_factor(F7, a) == [[5, 1], [1, 0, 1]]
+    assert u_roots(F7, a) == [2]
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_factor_divides_out_every_copy(p):
+    # products of known irreducibles, each repeated up to 2p - 1 times
+    F = PrimeField(p)
+    rng = random.Random(37)
+    for _ in range(6):
+        wanted = []
+        for k in (1, 1, 2, 3, 4):
+            q = _known_irreducible(p, k, rng)
+            if q not in wanted:
+                wanted.append(q)
+        wanted.sort(key=lambda q: (len(q), q))
+        copies = [q for q in wanted for _ in range(rng.randrange(1, 2 * p))]
+        a = _product(p, copies, rng.randrange(1, p))
+        assert u_factor(F, a, seed=rng.randrange(1000)) == wanted
+        assert u_roots(F, a) == sorted(-q[0] % p for q in wanted
+                                       if len(q) == 2)
+
+
 def test_factor_rational_mode_rejected():
     # (t - 2)(t - 3) over Q: factoring needs a prime field, as root finding does
     with pytest.raises(RationalModeUnsupported):
