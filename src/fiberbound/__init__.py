@@ -11,17 +11,15 @@ together with the syzygy-refined bound deg F <= 3(d-1) - indeg(Syz(I)).
 
 from .analysis import AnalysisReport, run_analysis
 from .errors import (AllCombinationsZero, AllMinorsZero, ArityMismatch,
-                     BadInput, BadPoint, BasePointError, ChainViolation,
-                     CharDividesDegree, CommonFactor, FDoesNotDivideMinor,
-                     FiberboundError, MixedDegrees, NoSyzygyFound,
-                     NotDivisible, NotHomogeneous, ParseError, PthPowerHazard,
-                     RationalModeUnsupported, SingularChange, SOutOfRange,
-                     SyzygyCheckFailed)
+                     BadInput, BadPoint, BasePointError, CharDividesDegree,
+                     CommonFactor, FDoesNotDivideMinor, FiberboundError,
+                     MixedDegrees, NoSyzygyFound, NotDivisible, NotHomogeneous,
+                     ParseError, PthPowerHazard, RationalModeUnsupported,
+                     SingularChange, SOutOfRange, SyzygyCheckFailed)
 from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      ProjectivePoint, RankCheck, discover_fibers,
                      fiber_equation, minor_vanishing_check,
-                     sample_hypersurface_points, tangent_rank_check,
-                     verify_bound_chain)
+                     tangent_rank_check, verify_bound_chain)
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
 from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
 from .jacobian import (EulerSyzygy, JacobianReport, Minor, RationalMapInput,

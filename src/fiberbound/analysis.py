@@ -1,8 +1,8 @@
 """End-to-end analysis: Jacobian -> F -> syzygies -> fiber discovery -> chain.
 
 The report is deterministic for a fixed (input, seed): fibers are sorted by
-target point, JSON keys are sorted, and every randomised step derives its
-randomness from the given seed.
+target point, JSON keys are sorted, and the random lines of discovery derive
+from the given seed (every other randomised step uses a fixed one).
 """
 
 from __future__ import annotations
@@ -193,7 +193,11 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
                  second_prime: bool = False) -> AnalysisReport:
     warnings: list[str] = []
     jr = jacobian_report(inp)
-    dependent, relation = linear_dependence_check(inp)
+    indeg = indeg_syzygy(inp)
+    # A degree-0 syzygy is a linear relation among the f_i; the elimination
+    # runs again only to name one.
+    dependent = indeg.indeg == 0
+    relation = linear_dependence_check(inp)[1] if dependent else None
     if dependent:
         warnings.append("generators are linearly dependent over the base field")
     if not jr.i3_nonzero:
@@ -206,20 +210,17 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
         except (CharDividesDegree, FDoesNotDivideMinor) as exc:
             warnings.append(f"Euler syzygy unavailable: {exc}")
 
-    indeg = indeg_syzygy(inp)
-
     discovery = None
     chain = None
     if jr.F is not None:
         try:
             discovery = discover_fibers(inp, jr.F, budget=budget, seed=seed)
         except RationalModeUnsupported:
-            warnings.append("fiber discovery skipped: sampling needs a prime field")
+            warnings.append("fiber discovery skipped: it needs a prime field")
         except PthPowerHazard as exc:
             warnings.append(f"fiber discovery skipped: {exc}")
         records = discovery.records if discovery is not None else []
-        chain = verify_bound_chain(inp, records, jr.F, indeg=indeg.indeg,
-                                   strict=False)
+        chain = verify_bound_chain(inp, records, jr.F, indeg=indeg.indeg)
         if not chain.ok:
             warnings.append("degree-bound chain VIOLATED: suspect an unlucky prime")
         if discovery is not None:
@@ -232,8 +233,8 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
                     f"coverage gap {gap}: square-free factors of F of total degree "
                     f"{gap} belong to no discovered fiber ({why})")
             if discovery.base_locus_skips:
-                warnings.append(f"skipped {discovery.base_locus_skips} "
-                                "base-locus samples")
+                warnings.append(f"skipped {discovery.base_locus_skips} closed "
+                                "points in the base locus")
             if discovery.nonrational_skips:
                 warnings.append(f"skipped {discovery.nonrational_skips} closed "
                                 "points with non-rational image")

@@ -81,14 +81,6 @@ class CommonFactor(FiberboundError):
         super().__init__(f"generators share the common factor {gcd}")
 
 
-class ChainViolation(FiberboundError):
-    """The degree-bound chain failed; suspect an unlucky prime."""
-
-    def __init__(self, report, message="degree-bound chain violated"):
-        self.report = report
-        super().__init__(message)
-
-
 class ParseError(FiberboundError):
     """Map-file syntax error with a line/column position."""
 

@@ -25,15 +25,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import (AllCombinationsZero, BasePointError, ChainViolation,
-                     CharDividesDegree, RationalModeUnsupported)
+from .errors import (AllCombinationsZero, BasePointError, CharDividesDegree,
+                     RationalModeUnsupported)
 from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
 from .jacobian import RationalMapInput, build_jacobian, minors
 from .linalg import rank
 from .poly import MvPoly
-from .univariate import u_deg, u_factor, u_rem, u_roots, u_sub
-# Kept bound here: bench/trace_layers.py wraps fibers.irreducible_quadratics.
-from .univariate import irreducible_quadratics  # noqa: F401
+from .univariate import u_deg, u_factor, u_rem, u_sub
+# Kept bound here: bench/trace_layers.py wraps fibers.u_roots and
+# fibers.irreducible_quadratics.
+from .univariate import irreducible_quadratics, u_roots  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -144,50 +145,24 @@ def fiber_equation(inp: RationalMapInput, y, pivot: int | None = None) -> MvPoly
     return gcd_multivariate(*combos)
 
 
-def _random_line(field, nvars: int, rng: random.Random):
-    """Affine line t -> a + t*b in a random chart (a[c] = 1, b[c] = 0)."""
-    c = rng.randrange(nvars)
-    a = [field.rand(rng) for _ in range(nvars)]
-    a[c] = field.one
-    while True:
-        b = [field.rand(rng) for _ in range(nvars)]
-        b[c] = field.zero
-        if any(b):
-            return a, b
-
-
 def _lines(h: MvPoly, budget: int, seed: int):
-    """Walk `budget` random lines; per line yield (rng, a, b, u).
-
-    u is h restricted to t -> a + t*b (empty when h vanishes on the line).
-    The rng is the line's own, positioned where the caller draws its
-    root-finding seed.
+    """Walk `budget` random affine lines t -> a + t*b, each in a random
+    chart (a[c] = 1, b[c] = 0) drawn from its own rng; per line yield
+    (a, b, u), u being h restricted to the line (empty when h vanishes on it).
     """
     F = h.field
+    n = h.nvars
     for i in range(budget):
         rng = random.Random(seed * 1_000_003 + i)
-        a, b = _random_line(F, h.nvars, rng)
-        yield rng, a, b, h.on_line(a, b)
-
-
-def _point_on_line(p: int, a: list, b: list, t0) -> list:
-    return [(ai + t0 * bi) % p for ai, bi in zip(a, b)]
-
-
-def sample_hypersurface_points(h: MvPoly, budget: int, seed: int = 0) -> list:
-    """Rational points on Z(h) found along `budget` random lines, deduplicated.
-
-    Deterministic per seed; may return fewer points than asked for.
-    """
-    F = h.field
-    if not F.char:
-        raise RationalModeUnsupported("hypersurface sampling needs a prime field")
-    if h.is_constant():
-        raise ValueError("hypersurface sampling needs a nonconstant polynomial")
-    found = {ProjectivePoint.create(F, _point_on_line(F.char, a, b, t0))
-             for rng, a, b, u in _lines(h, budget, seed) if u
-             for t0 in u_roots(F, u, seed=rng.randrange(1 << 30))}
-    return sorted(found, key=lambda pt: pt.coords)
+        c = rng.randrange(n)
+        a = [F.rand(rng) for _ in range(n)]
+        a[c] = F.one
+        while True:
+            b = [F.rand(rng) for _ in range(n)]
+            b[c] = F.zero
+            if any(b):
+                break
+        yield a, b, h.on_line(a, b)
 
 
 def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
@@ -249,7 +224,7 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
         records.append(rec)
         covered += sum(p.total_degree() for p, _ in rec.sqfree)
 
-    for rng, a, b, u in _lines(sf, budget, seed):
+    for a, b, u in _lines(sf, budget, seed):
         lines += 1
         if not u:
             degenerate += 1
@@ -259,7 +234,7 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
         # irreducible factor q of u, and at infinity, where f_i(a + t b) =
         # f_i(b) t^d + lower terms, the t^d row.
         points = [[u_rem(fl, q, p) for fl in f_on_line]
-                  for q in u_factor(Fld, u, seed=rng.randrange(1 << 30))]
+                  for q in u_factor(Fld, u)]
         if u_deg(u) < deg_sf:
             points.append([fl[inp.d:] for fl in f_on_line])
         decisive = True
@@ -293,8 +268,7 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
 
 
 def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
-                       indeg: int | None = None,
-                       strict: bool = True) -> BoundChainReport:
+                       indeg: int | None = None) -> BoundChainReport:
     """Certify sum deg(h_y) <= sum (2e-1) deg(P_e) <= deg F <= 3(d-1).
 
     Also checks the divisibility witness prod P_e^(2e-1) | F, and, when an
@@ -302,7 +276,8 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
     The refined bound is proved for P^2 --> P^n with n >= 3 only (on a
     square Jacobian deg F = 3(d-1) whenever det J != 0), so elsewhere it is
     left None.  Partial discovery can only weaken the left side, never
-    violate the chain.
+    violate the chain.  A violation is reported, not raised: `ok` on the
+    returned report is the one verdict.
     """
     sum_deg = sum(r.deg_h for r in fibers)
     sum_weighted = sum(r.weighted_deg for r in fibers)
@@ -319,13 +294,10 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
     if indeg is not None and inp.m == 2 and inp.n >= 3:
         refined = outer - indeg
         refined_ok = degF <= refined
-    report = BoundChainReport(sum_deg=sum_deg, sum_weighted=sum_weighted,
-                              degF=degF, outer=outer, chain_ok=chain_ok,
-                              witness_divides=witness_ok, indeg=indeg,
-                              refined=refined, refined_ok=refined_ok)
-    if strict and not report.ok:
-        raise ChainViolation(report)
-    return report
+    return BoundChainReport(sum_deg=sum_deg, sum_weighted=sum_weighted,
+                            degF=degF, outer=outer, chain_ok=chain_ok,
+                            witness_divides=witness_ok, indeg=indeg,
+                            refined=refined, refined_ok=refined_ok)
 
 
 @dataclass

@@ -171,16 +171,17 @@ def parse_map_file(text: str) -> RationalMapInput:
         rest = parts[1] if len(parts) > 1 else ""
         rest_col = indent + len(head) + 2 if len(parts) > 1 else indent + len(head) + 1
         if head == "field":
-            spec = rest.strip().replace(" ", "")
-            if spec == "rational":
+            key, eq, modulus = (part.strip() for part in rest.partition("="))
+            if rest == "rational":
                 field = RationalField()
-            elif spec.startswith("p="):
+            elif key == "p" and eq:
+                # Decimal digits only, as in integer literals and labels.
+                if not modulus.isdecimal():
+                    raise ParseError("field modulus must be an integer", lineno)
                 try:
-                    p = int(spec[2:])
-                except ValueError:  # also more digits than int() converts
-                    why = ("is too long" if spec[2:].isdecimal()
-                           else "must be an integer")
-                    raise ParseError(f"field modulus {why}", lineno) from None
+                    p = int(modulus)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("field modulus is too long", lineno) from None
                 try:
                     field = PrimeField(p)
                 except ValueError as exc:

@@ -254,31 +254,13 @@ class MvPoly:
                        for e, c in self.terms.items() if e[j]})
 
     def evaluate(self, point: Sequence):
-        """Exact value at a point (one field element per variable)."""
+        """Exact value at a point (one field element per variable): the
+        constant term of the restriction to the constant line t -> point."""
         if len(point) != self.nvars:
             raise ArityMismatch(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
-        F = self.field
-        p = F.char
-        # Precompute the needed powers of each coordinate, reduced mod p.
-        maxes = [0] * self.nvars
-        for e in self.terms:
-            for j, k in enumerate(e):
-                if k > maxes[j]:
-                    maxes[j] = k
-        powers = []
-        for j in range(self.nvars):
-            row = [F.one]
-            for _ in range(maxes[j]):
-                row.append(row[-1] * point[j] % p if p else row[-1] * point[j])
-            powers.append(row)
-        acc = F.zero
-        for e, c in self.terms.items():
-            for j, k in enumerate(e):
-                if k:
-                    c *= powers[j][k]
-            acc += c
-        return acc % p if p else acc
+        u = self.on_line(point, [0] * self.nvars)
+        return u[0] if u else self.field.zero
 
     def on_line(self, a: Sequence, b: Sequence) -> list:
         """Dense coefficients (ascending in t) of self restricted to t -> a + t*b."""

@@ -16,8 +16,8 @@ a need not be square-free; a randomised equal-degree split separates each
 product into its factors, finishing two linear factors with the quadratic
 formula.  Roots and irreducible quadratics are the degree-1 and degree-2
 factors.
-All randomness flows through an explicit seed, and the results are sorted,
-so they do not depend on it.
+The splits draw from a fixed internal seed; the results are sorted, so no
+seed could change them.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ import random
 from fractions import Fraction
 
 from .errors import RationalModeUnsupported
+
+# Seed of the equal-degree splits.  Any value gives the same sorted factors.
+_SPLIT_SEED = 0
 
 
 def u_trim(a: list) -> list:
@@ -205,7 +208,7 @@ def _equal_degree(g: list, k: int, p: int, rng: random.Random) -> list:
                     + _equal_degree(u_divmod(g, d, p)[0], k, p, rng))
 
 
-def u_factor(F, a: list, seed: int = 0) -> list:
+def u_factor(F, a: list) -> list:
     """The distinct monic irreducible factors of a nonzero a over F_p.
 
     Sorted by degree, then by coefficients.  a need not be square-free: the
@@ -219,19 +222,19 @@ def u_factor(F, a: list, seed: int = 0) -> list:
         raise RationalModeUnsupported("factorization requires a prime field")
     if not a:
         raise ValueError("factorization needs a nonzero polynomial")
-    rng = random.Random(seed)
+    rng = random.Random(_SPLIT_SEED)
     factors = [q for k, prod in _distinct_degree(u_monic(u_reduce(a, p), p), p)
                for q in _equal_degree(prod, k, p, rng)]
     return sorted(factors, key=lambda q: (len(q), q))
 
 
-def u_roots(F, a: list, seed: int = 0) -> list:
+def u_roots(F, a: list) -> list:
     """All roots in F_p of a nonzero dense polynomial, sorted ascending: the
     degree-1 view of `u_factor`, and raising as it does."""
-    return sorted(-q[0] % F.char for q in u_factor(F, a, seed) if u_deg(q) == 1)
+    return sorted(-q[0] % F.char for q in u_factor(F, a) if u_deg(q) == 1)
 
 
-def irreducible_quadratics(F, a: list, seed: int = 0) -> list:
+def irreducible_quadratics(F, a: list) -> list:
     """Monic irreducible quadratic factors of a, each listed once: the
     degree-2 view of `u_factor`."""
-    return [q for q in u_factor(F, a, seed) if u_deg(q) == 2]
+    return [q for q in u_factor(F, a) if u_deg(q) == 2]

@@ -194,7 +194,7 @@ def test_fiber_json_over_rationals(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["max-degree", "directory", "not-utf8",
                                   "budget-analyze", "budget-selftest",
                                   "superscript", "long-literal", "nesting",
-                                  "long-modulus"])
+                                  "long-modulus", "signed-modulus"])
 def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
     latin1 = tmp_path / "latin1.map"
     latin1.write_bytes("# caf\u00e9\n".encode("latin-1")
@@ -204,9 +204,11 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
                      ("nesting", "(" * 400 + "X0^2" + ")" * 400)):
         (tmp_path / f"{name}.map").write_text(
             f"vars X0 X1 X2\nf0 {f0}\nf1 X1^2\nf2 X2^2\n", encoding="utf-8")
-    (tmp_path / "long-modulus.map").write_text(
-        "field p=" + "7" * 4400 + "\nvars X0 X1 X2\nf0 X0^2\nf1 X1^2\n"
-        "f2 X2^2\n", encoding="utf-8")
+    for name, modulus in (("long-modulus", "7" * 4400),
+                          ("signed-modulus", "+13")):
+        (tmp_path / f"{name}.map").write_text(
+            f"field p={modulus}\nvars X0 X1 X2\nf0 X0^2\nf1 X1^2\n"
+            "f2 X2^2\n", encoding="utf-8")
     argv, message = {
         "max-degree": (["syzygy", str(MAPS / "example2.map"),
                         "--max-degree", "-1"], "--max-degree"),
@@ -223,6 +225,8 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
                     "nested too deeply"),
         "long-modulus": (["analyze", str(tmp_path / "long-modulus.map")],
                          "field modulus is too long"),
+        "signed-modulus": (["analyze", str(tmp_path / "signed-modulus.map")],
+                           "field modulus must be an integer"),
     }[case]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""

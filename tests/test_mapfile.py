@@ -166,3 +166,17 @@ def test_overlong_field_modulus_is_its_own_parse_error():
     with pytest.raises(ParseError) as exc:
         parse_map_file("field p=seven\nvars X0\nf0 X0\n")
     assert str(exc.value).startswith("field modulus must be an integer")
+
+
+@pytest.mark.parametrize("spec", ["p=1_3", "p=+13", "p=1 3", "p = 1 3",
+                                  "p=-13"])
+def test_field_modulus_is_decimal_digits(spec):
+    with pytest.raises(ParseError) as exc:
+        parse_map_file(f"field {spec}\nvars X0 X1\nf0 X0^2\nf1 X1^2\n")
+    assert str(exc.value) == "field modulus must be an integer at line 1"
+
+
+@pytest.mark.parametrize("spec", ["p=13", "p = 13", "p =13", "p=  13"])
+def test_field_modulus_may_have_spaces_around_the_equals_sign(spec):
+    inp = parse_map_file(f"field {spec}\nvars X0 X1\nf0 X0^2\nf1 X1^2\n")
+    assert inp.field == PrimeField(13)

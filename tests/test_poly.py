@@ -271,6 +271,32 @@ def test_operations_match_stepwise_reference(F):
 
 
 @pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
+def test_evaluate_edge_cases_match_reference(F):
+    # evaluate reads the constant term of on_line: an empty restriction,
+    # unreduced or negative ints, and Fractions must not change the value
+    rng = random.Random(79)
+    x0, x1 = (MvPoly.variable(F, 2, j) for j in range(2))
+    if F.char:
+        points = [[-3, 15], [7 * 11 + 2, -7 * 5 - 1]]
+        root = [1, 8]                       # of x0 - x1, as 8 = 1 mod 7
+    else:
+        points = [[Fraction(-2, 3), Fraction(5, 7)], [Fraction(1, 2), -3]]
+        root = [Fraction(1, 2), Fraction(2, 4)]
+    for _ in range(10):
+        a = random_poly(F, 2, 6, rng)
+        for x in points:
+            assert a.evaluate(x) == _ref_evaluate(F, a.terms, x)
+    for value in (MvPoly.zero(F, 2).evaluate(points[0]),
+                  (x0 - x1).evaluate(root)):
+        assert value == 0 and type(value) is type(F.zero)
+    if F.char:
+        assert all(0 <= (x0 * x1 - 1).evaluate(x) < F.char for x in points)
+    with pytest.raises(ArityMismatch) as exc:
+        x0.evaluate([1, 2, 3])
+    assert str(exc.value) == "point has 3 coordinates, expected 2"
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
 def test_exact_div_by_a_constant_is_a_scale(F):
     rng = random.Random(78)
     for _ in range(10):

@@ -7,7 +7,8 @@ import pytest
 
 import fiberbound.syzygy as syz_mod
 from fiberbound import (MvPoly, PrimeField, RationalField, RationalMapInput,
-                        graded_syzygy_kernel, indeg_syzygy)
+                        graded_syzygy_kernel, indeg_syzygy, parse_map_file,
+                        run_analysis)
 from fiberbound.errors import CommonFactor
 from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
 from fiberbound.jacobian import linear_dependence_check
@@ -76,6 +77,35 @@ def test_indeg_zero_iff_dependent(field):
                 make_cube_dependent()):
         dep, _ = linear_dependence_check(inp)
         assert (indeg_syzygy(inp).indeg == 0) == dep
+
+
+@pytest.mark.parametrize("F", [PrimeField(), RationalField()], ids=["fp", "q"])
+def test_analysis_reads_dependent_off_indeg_zero(F):
+    # run_analysis sets `dependent` from indeg(Syz) = 0 and asks
+    # linear_dependence_check only for the relation it reports
+    spec = f"p={F.char}" if F.char else "rational"
+    counting = parse_map_file(f"field {spec}\nvars X0 X1\nf0 X0^2\n"
+                              "f1 X0*X1\nf2 X1^2\nf3 X0^2 + 2*X1^2\n")
+    rep = run_analysis(counting, budget=1)
+    assert rep.to_json_dict()["relation"] == \
+        ([-1, 0, -2, 1] if F.char else ["-1", "0", "-2", "1"])
+    rng = random.Random(56)
+    cases = [(counting, True)]
+    for d in (2, 3, 3):
+        f = _dense_map(F, rng, d, nforms=3).f
+        cases.append((RationalMapInput.create(
+            F, [*f, f[0] + f[1].scale(F.rand_nonzero(rng))]), True))
+    cases += [(make_example2(F), False), (make_family(4, F), False),
+              (_dense_map(F, rng, 2), False)]
+    for inp, dependent in cases:
+        rep = run_analysis(inp, budget=1)
+        assert rep.dependent == dependent == (rep.indeg.indeg == 0)
+        assert rep.relation == linear_dependence_check(inp)[1]
+        if dependent:
+            combo = MvPoly.zero(F, inp.nvars)
+            for r, fi in zip(rep.relation, inp.f):
+                combo = combo + fi.scale(r)
+            assert combo.is_zero()
 
 
 def test_indeg_at_most_d(field):

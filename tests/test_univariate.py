@@ -29,7 +29,7 @@ def test_roots_from_known_construction(field):
     for _ in range(15):
         wanted = sorted({field.rand(rng) for _ in range(rng.randrange(1, 7))})
         prod = _with_roots(wanted, field.rand_nonzero(rng))
-        assert u_roots(field, prod, seed=rng.randrange(1000)) == wanted
+        assert u_roots(field, prod) == wanted
 
 
 def test_roots_with_multiplicity_and_zero_root(field):
@@ -40,8 +40,7 @@ def test_roots_with_multiplicity_and_zero_root(field):
 def test_roots_deterministic_per_seed(field):
     rng = random.Random(33)
     prod = _with_roots([field.rand(rng) for _ in range(8)])
-    assert u_roots(field, prod, seed=4) == u_roots(field, prod, seed=4)
-    assert u_roots(field, prod, seed=4) == u_roots(field, prod, seed=5)
+    assert u_roots(field, prod) == u_roots(field, prod)
 
 
 def test_roots_rational_mode_rejected():
@@ -77,7 +76,7 @@ def test_irreducible_quadratics_extraction(field):
     rng = random.Random(34)
     # (t^2 + 1) is irreducible since p = 3 mod 4; multiply by split factors
     t2_plus_1 = [1, 0, 1]
-    quads = irreducible_quadratics(field, t2_plus_1, seed=1)
+    quads = irreducible_quadratics(field, t2_plus_1)
     assert quads == [[1, 0, 1]]
     # a product of two distinct irreducible quadratics splits into both
     a = field.rand_nonzero(rng)
@@ -86,7 +85,7 @@ def test_irreducible_quadratics_extraction(field):
     for i, ci in enumerate(t2_plus_1):
         for j, cj in enumerate(q2):
             prod[i + j] = (prod[i + j] + ci * cj) % p
-    found = irreducible_quadratics(field, prod, seed=2)
+    found = irreducible_quadratics(field, prod)
     assert sorted(found) == sorted([t2_plus_1, q2])
 
 
@@ -143,12 +142,11 @@ def test_factor_products_of_known_irreducibles(p):
                 wanted.append(q)
         wanted.sort(key=lambda q: (len(q), q))
         a = _product(p, wanted, rng.randrange(1, p))
-        for seed in range(4):
-            assert u_factor(F, a, seed=seed) == wanted
+        assert u_factor(F, a) == wanted
         # a repeated factor is listed once, and the degree sum then falls
         # short of deg a
         squared = _product(p, wanted + wanted[:1], 1)
-        assert u_factor(F, squared, seed=1) == wanted
+        assert u_factor(F, squared) == wanted
 
 
 @pytest.mark.parametrize("p", [101, 2147483647])
@@ -158,7 +156,7 @@ def test_factor_returns_an_irreducible_whole(p):
     for k in (1, 2, 3, 4):
         q = _known_irreducible(p, k, rng)
         scaled = [c * 3 % p for c in q]
-        assert u_factor(F, scaled, seed=k) == [q]
+        assert u_factor(F, scaled) == [q]
     assert u_factor(F, [5]) == []
     with pytest.raises(ValueError):
         u_factor(F, [])
@@ -187,7 +185,7 @@ def test_factor_divides_out_every_copy(p):
         wanted.sort(key=lambda q: (len(q), q))
         copies = [q for q in wanted for _ in range(rng.randrange(1, 2 * p))]
         a = _product(p, copies, rng.randrange(1, p))
-        assert u_factor(F, a, seed=rng.randrange(1000)) == wanted
+        assert u_factor(F, a) == wanted
         assert u_roots(F, a) == sorted(-q[0] % p for q in wanted
                                        if len(q) == 2)
 
