@@ -5,8 +5,8 @@ initial degree refines the bound on deg F.  The four signed 3x3 minors of
 a surface map assemble into an explicit syzygy of degree 3(d-1) - deg F.
 """
 
-from fiberbound import (build_jacobian, euler_syzygy, gcd_of_minors,
-                        graded_syzygy_kernel, indeg_syzygy, minors)
+from fiberbound import (euler_syzygy, graded_syzygy_kernel, indeg_syzygy,
+                        jacobian_report)
 from fiberbound.fixtures import make_cube_dependent, make_example2
 
 inp = make_example2()
@@ -21,8 +21,9 @@ for nu in range(4):
 res = indeg_syzygy(inp)
 print(f"indeg(Syz) = {res.indeg}")
 
-F = gcd_of_minors(minors(build_jacobian(inp), 3))
-es = euler_syzygy(inp, F)
+jr = jacobian_report(inp)
+F = jr.F
+es = euler_syzygy(inp, jr)
 print(f"\nEuler syzygy from the signed minors: delta = 3(d-1) - deg F "
       f"= {es.delta}")
 print(f"entry degrees: {[a.total_degree() for a in es.a]}; "

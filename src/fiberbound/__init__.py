@@ -25,10 +25,11 @@ from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
 from .jacobian import (EulerSyzygy, JacobianReport, Minor, RationalMapInput,
                        build_jacobian, euler_syzygy, fitting_invariance_check,
                        gcd_of_minors, generic_finiteness_check,
-                       jacobian_report, linear_dependence_check, minors)
+                       jacobian_report, minors)
 from .mapfile import parse_map_file, parse_polynomial, print_map_file
 from .poly import MvPoly
 from .syzygy import (GradedKernelBasis, IndegResult, graded_syzygy_kernel,
-                     indeg_syzygy, monomials_of_degree)
+                     indeg_syzygy, linear_dependence_check,
+                     monomials_of_degree)
 
 __version__ = "0.1.0"

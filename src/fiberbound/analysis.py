@@ -16,8 +16,10 @@ from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      discover_fibers, verify_bound_chain)
 from .fields import SECOND_PRIME, PrimeField, is_prime
 from .jacobian import (EulerSyzygy, JacobianReport, RationalMapInput,
-                       euler_syzygy, jacobian_report, linear_dependence_check)
-from .syzygy import IndegResult, indeg_syzygy
+                       euler_syzygy, jacobian_report)
+from .syzygy import IndegResult, constant_relation, indeg_syzygy
+# Kept bound here: bench/trace_layers.py wraps analysis.linear_dependence_check.
+from .syzygy import linear_dependence_check  # noqa: F401
 from .poly import MvPoly
 
 
@@ -194,10 +196,10 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
     warnings: list[str] = []
     jr = jacobian_report(inp)
     indeg = indeg_syzygy(inp)
-    # A degree-0 syzygy is a linear relation among the f_i; the elimination
-    # runs again only to name one.
+    # A degree-0 syzygy is a linear relation among the f_i, and indeg_syzygy
+    # hands back the verified basis it eliminated there.
     dependent = indeg.indeg == 0
-    relation = linear_dependence_check(inp)[1] if dependent else None
+    relation = constant_relation(indeg.basis[0]) if dependent else None
     if dependent:
         warnings.append("generators are linearly dependent over the base field")
     if not jr.i3_nonzero:
@@ -206,7 +208,7 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
     euler = None
     if jr.F is not None and inp.m == 2 and inp.n == 3:
         try:
-            euler = euler_syzygy(inp, jr.F, minors3=jr.minors3)
+            euler = euler_syzygy(inp, jr)
         except (CharDividesDegree, FDoesNotDivideMinor) as exc:
             warnings.append(f"Euler syzygy unavailable: {exc}")
 
@@ -232,12 +234,12 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
                 warnings.append(
                     f"coverage gap {gap}: square-free factors of F of total degree "
                     f"{gap} belong to no discovered fiber ({why})")
-            if discovery.base_locus_skips:
-                warnings.append(f"skipped {discovery.base_locus_skips} closed "
-                                "points in the base locus")
-            if discovery.nonrational_skips:
-                warnings.append(f"skipped {discovery.nonrational_skips} closed "
-                                "points with non-rational image")
+            skipped = ((discovery.base_locus_skips, "in the base locus"),
+                       (discovery.nonrational_skips, "with non-rational image"))
+            for skips, where in skipped:
+                if skips:
+                    points = "point" if skips == 1 else "points"
+                    warnings.append(f"skipped {skips} closed {points} {where}")
 
     second = None
     if second_prime and inp.field.char:

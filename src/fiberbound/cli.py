@@ -16,7 +16,7 @@ from .errors import BadInput, BadPoint, FiberboundError
 from .fibers import FiberRecord, ProjectivePoint, tangent_rank_check
 from .fixtures import FIXTURES
 from .mapfile import parse_map_file
-from .syzygy import graded_syzygy_kernel, indeg_from_dimensions
+from .syzygy import graded_syzygy_kernel, indeg_from_pieces
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,8 +74,9 @@ def cmd_fiber(args) -> int:
 def cmd_syzygy(args) -> int:
     inp = _load(args.file)
     cap = args.max_degree if args.max_degree is not None else inp.d
-    dims = [graded_syzygy_kernel(inp, nu).dimension for nu in range(cap + 1)]
-    result = indeg_from_dimensions(inp, dims, cap)
+    bases = [graded_syzygy_kernel(inp, nu).basis for nu in range(cap + 1)]
+    dims = [len(basis) for basis in bases]
+    result = indeg_from_pieces(inp, zip(dims, bases), cap)
     if args.json:
         print(json.dumps({"dimensions": [{"degree": nu, "dim": d}
                                          for nu, d in enumerate(dims)],

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .errors import (AllCombinationsZero, BasePointError, CharDividesDegree,
                      RationalModeUnsupported)
 from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
-from .jacobian import RationalMapInput, build_jacobian, minors
+from .jacobian import RationalMapInput, build_jacobian
 from .linalg import rank
 from .poly import MvPoly
 from .univariate import u_deg, u_factor, u_rem, u_sub
@@ -349,13 +349,11 @@ def tangent_rank_check(inp: RationalMapInput, q) -> RankCheck:
                      consistent=rank_j == rank_d + 1)
 
 
-def minor_vanishing_check(inp: RationalMapInput, h: MvPoly, minors3=None) -> bool:
+def minor_vanishing_check(h: MvPoly, minors3: list) -> bool:
     """Does squarefree(h) divide every nonzero 3-minor exactly?"""
     if h.is_constant():
         return True
     sf = squarefree_part(h)
     if sf.is_constant():
         return True
-    if minors3 is None:
-        minors3 = minors(build_jacobian(inp), 3)
     return all(sf.divides(mn.poly) for mn in minors3 if not mn.poly.is_zero())

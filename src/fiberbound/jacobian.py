@@ -4,6 +4,9 @@ The matrix J(f) has one row per form f_i and one column per variable; the
 3-minors generate the ideal whose generator GCD, F, contains every divisor
 contracted by the map.  For surface maps (m = 2, n = 3) the four signed
 maximal minors assemble into a syzygy of the f_i of degree 3(d-1) - deg F.
+
+`jacobian_report` expands the 3-minors once; F, the flag I_{m+1}(J) != 0 (on
+P^2 the top minors are the 3-minors) and the Euler syzygy read them off it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from .errors import (AllMinorsZero, ArityMismatch, CharDividesDegree,
                      CommonFactor, FDoesNotDivideMinor, MixedDegrees,
                      NotDivisible, NotHomogeneous, SingularChange, SOutOfRange)
 from .gcd import gcd_multivariate
-from .linalg import kernel_basis, rank
+from .linalg import rank
+# Kept bound here: bench/trace_layers.py wraps jacobian.kernel_basis.
+from .linalg import kernel_basis  # noqa: F401
 from .poly import MvPoly
 
 
@@ -151,10 +156,10 @@ def jacobian_report(inp: RationalMapInput) -> JacobianReport:
     m3 = minors(jac, 3) if min(inp.n + 1, inp.m + 1) >= 3 else []
     i3 = any(not mn.poly.is_zero() for mn in m3)
     F = gcd_of_minors(m3) if i3 else None
-    itop, _ = generic_finiteness_check(inp, jac=jac, minors3=m3)
     return JacobianReport(minors3=m3, F=F,
                           degF=F.total_degree() if F is not None else None,
-                          i3_nonzero=i3, i_top_nonzero=itop)
+                          i3_nonzero=i3,
+                          i_top_nonzero=generic_finiteness_check(inp, jac, m3))
 
 
 @dataclass
@@ -166,19 +171,18 @@ class EulerSyzygy:
     delta: int
 
 
-def euler_syzygy(inp: RationalMapInput, F: MvPoly, minors3=None) -> EulerSyzygy:
+def euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
     """Syzygy of degree delta = 3(d-1) - deg F for a surface map (m=2, n=3).
 
-    D_i is (-1)^i times the 3-minor on the rows other than i; `minors3`, in
-    the order `minors` returns them, saves recomputing the determinants.
+    D_i is (-1)^i times the 3-minor on the rows other than i, read off
+    `jr.minors3`; F is `jr.F`.
     """
     if inp.m != 2 or inp.n != 3:
         raise ValueError("the Euler syzygy construction needs m = 2, n = 3")
     p = inp.field.char
     if p and inp.d % p == 0:
         raise CharDividesDegree("construction invalid when p divides d")
-    if minors3 is None:
-        minors3 = minors(build_jacobian(inp), 3)
+    F, minors3 = jr.F, jr.minors3
     # minors3[k] leaves out row 3 - k.
     D = [minors3[3 - i].poly if i % 2 == 0 else -minors3[3 - i].poly
          for i in range(4)]
@@ -203,18 +207,7 @@ def euler_syzygy(inp: RationalMapInput, F: MvPoly, minors3=None) -> EulerSyzygy:
     return EulerSyzygy(D=tuple(D), a=tuple(a), delta=delta)
 
 
-def linear_dependence_check(inp: RationalMapInput):
-    """(dependent?, relation) with relation a kernel vector over k when dependent."""
-    F = inp.field
-    monos = sorted({e for fp in inp.f for e in fp.terms})
-    rows = [[fp.terms.get(e, F.zero) for fp in inp.f] for e in monos]
-    basis = kernel_basis(F, rows, len(inp.f))
-    if not basis:
-        return False, None
-    return True, tuple(basis[0])
-
-
-def fitting_invariance_check(inp: RationalMapInput, change, F=None) -> bool:
+def fitting_invariance_check(inp: RationalMapInput, change, F: MvPoly) -> bool:
     """Recompute F after an invertible scalar change of basis g = C f.
 
     Returns True when the two GCDs agree up to a scalar (compared monic).
@@ -226,8 +219,6 @@ def fitting_invariance_check(inp: RationalMapInput, change, F=None) -> bool:
         raise SingularChange(f"change of basis must be {size}x{size}")
     if rank(Fld, C) != size:
         raise SingularChange("change of basis is singular")
-    if F is None:
-        F = gcd_of_minors(minors(build_jacobian(inp), 3))
     g = tuple(sum((fj.scale(cij) for cij, fj in zip(row, inp.f)),
                   MvPoly.zero(Fld, inp.nvars)) for row in C)
     ginp = RationalMapInput(field=Fld, varnames=inp.varnames, f=g)
@@ -235,32 +226,22 @@ def fitting_invariance_check(inp: RationalMapInput, change, F=None) -> bool:
     return F.monic() == F2.monic()
 
 
-def generic_finiteness_check(inp: RationalMapInput, jac=None, minors3=None):
-    """(I_{m+1}(J) != 0, I_3(J) != 0) flags.
+def generic_finiteness_check(inp: RationalMapInput, jac: list, minors3: list) -> bool:
+    """I_{m+1}(J) != 0, given J and its 3-minors.
 
-    Up to 12 random evaluations (seed 0) give nonvanishing certificates; if
-    every trial fails, the answer falls back to exact symbolic minor
-    expansion, reusing `minors3` (the 3-minors of jac) when given.
+    On P^2 the top minors are the 3-minors, scanned as they are.  Otherwise
+    up to 12 random evaluations (seed 0) give nonvanishing certificates; if
+    every trial fails, the answer falls back to exact symbolic expansion.
     """
-    if jac is None:
-        jac = build_jacobian(inp)
     F = inp.field
-    nrows, ncols = inp.n + 1, inp.m + 1
+    s = inp.m + 1
+    if s > inp.n + 1:
+        return False
+    if s == 3:
+        return any(not mn.poly.is_zero() for mn in minors3)
     rng = random.Random(0)
-    best = 0
     for _ in range(12):
-        q = [F.rand(rng) for _ in range(ncols)]
-        numeric = [[entry.evaluate(q) for entry in row] for row in jac]
-        best = max(best, rank(F, numeric))
-        if best >= min(nrows, ncols):
-            break
-
-    def nonzero_exact(s: int) -> bool:
-        if s > min(nrows, ncols):
-            return False
-        if best >= s:
+        q = [F.rand(rng) for _ in range(s)]
+        if rank(F, [[entry.evaluate(q) for entry in row] for row in jac]) >= s:
             return True
-        ms = minors3 if s == 3 and minors3 is not None else minors(jac, s)
-        return any(not mn.poly.is_zero() for mn in ms)
-
-    return nonzero_exact(ncols), nonzero_exact(3)
+    return any(not mn.poly.is_zero() for mn in minors(jac, s))

@@ -7,7 +7,8 @@ found by scanning nu upwards; a Koszul relation guarantees a hit by nu = d.
 
 `indeg_syzygy` needs no vectors: it takes ranks, and builds a kernel basis
 (RREF, re-verified symbolically) only at a hit that counting does not
-certify.
+certify.  Degree 0 is always ranked, so a linearly dependent map comes back
+with its degree-0 basis, whose vectors are the linear relations.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from operator import add
 from .errors import NoSyzygyFound, SyzygyCheckFailed
 from .jacobian import RationalMapInput
 from .linalg import kernel_basis, rank
-from .poly import MvPoly, grlex_key
+from .poly import MvPoly
 
 
 def monomials_of_degree(nvars: int, deg: int) -> list:
-    """All exponent tuples of the given total degree, graded-lex descending."""
+    """All exponent tuples of the given total degree, graded-lex descending:
+    within one degree that is lex order, which the recursion emits."""
     out = []
 
     def rec(prefix, remaining, slots):
@@ -34,21 +36,23 @@ def monomials_of_degree(nvars: int, deg: int) -> list:
             rec(prefix + (k,), remaining - k, slots - 1)
 
     rec((), deg, nvars)
-    out.sort(key=grlex_key, reverse=True)
     return out
 
 
 @dataclass
 class GradedKernelBasis:
-    degree: int
     basis: list          # list of (n+1)-tuples of MvPoly
-    dimension: int
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 @dataclass
 class IndegResult:
     indeg: int | None    # None marks +infinity within the searched range
     searched_up_to: int
+    basis: list | None = None  # verified, when built (always at indeg 0)
 
 
 def _degree_matrix(inp: RationalMapInput, nu: int) -> tuple[list, list]:
@@ -74,10 +78,10 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
     """Kernel basis in degree nu, RREF-normalised and re-verified symbolically."""
     if nu < 0:
         raise ValueError("degree must be nonnegative")
-    return _verified_kernel(inp, nu, *_degree_matrix(inp, nu))
+    return _verified_kernel(inp, *_degree_matrix(inp, nu))
 
 
-def _verified_kernel(inp: RationalMapInput, nu: int, source: list,
+def _verified_kernel(inp: RationalMapInput, source: list,
                      rows: list) -> GradedKernelBasis:
     """Kernel basis of the degree-nu matrix `rows` from `_degree_matrix`,
     each vector re-verified as a syzygy by multiplying it out."""
@@ -96,46 +100,57 @@ def _verified_kernel(inp: RationalMapInput, nu: int, source: list,
         if not combo.is_zero():
             raise SyzygyCheckFailed("kernel vector failed symbolic re-verification")
         basis.append(tup)
-    return GradedKernelBasis(degree=nu, basis=basis, dimension=len(basis))
+    return GradedKernelBasis(basis=basis)
 
 
 def indeg_syzygy(inp: RationalMapInput) -> IndegResult:
     """Smallest nu with a nonzero syzygy.  The search runs to d, where a
     Koszul relation f_j e_i - f_i e_j makes it always succeed."""
-    dims = (_syzygy_dimension(inp, nu) for nu in range(inp.d + 1))
-    return indeg_from_dimensions(inp, dims, inp.d)
+    pieces = (_syzygy_piece(inp, nu) for nu in range(inp.d + 1))
+    return indeg_from_pieces(inp, pieces, inp.d)
 
 
-def _syzygy_dimension(inp: RationalMapInput, nu: int) -> int:
-    """dim Syz_nu, or a positive lower bound when there are more columns
-    than rows; a kernel basis is built, from the same matrix, only at a
-    deficient rank."""
+def _syzygy_piece(inp: RationalMapInput, nu: int) -> tuple[int, list | None]:
+    """(dim Syz_nu, its verified basis or None).  Above degree 0, more
+    columns than rows give a positive lower bound and no basis; otherwise a
+    basis is built, from the matrix just ranked, at a deficient rank."""
     m = inp.nvars - 1
     ncols = len(inp.f) * comb(nu + m, m)
     nrows = comb(nu + inp.d + m, m)
-    if ncols > nrows:
-        return ncols - nrows
+    if nu and ncols > nrows:
+        return ncols - nrows, None
     source, rows = _degree_matrix(inp, nu)
     r = rank(inp.field, rows)
     if r == ncols:
-        return 0
-    dim = _verified_kernel(inp, nu, source, rows).dimension
-    if dim != ncols - r:
-        raise NoSyzygyFound(f"degree {nu}: kernel basis of size {dim}, "
+        return 0, None
+    basis = _verified_kernel(inp, source, rows).basis
+    if len(basis) != ncols - r:
+        raise NoSyzygyFound(f"degree {nu}: kernel basis of size {len(basis)}, "
                             f"but the rank leaves {ncols - r}")
-    return dim
+    return len(basis), basis
 
 
-def indeg_from_dimensions(inp: RationalMapInput, dims, cap: int) -> IndegResult:
-    """Initial degree from the kernel dimensions in degrees 0..cap, in order.
-
-    Stops at the first nonzero dimension, so `dims` may be a lazy iterable.
-    """
+def indeg_from_pieces(inp: RationalMapInput, pieces, cap: int) -> IndegResult:
+    """Initial degree from the (dimension, basis or None) of the graded
+    pieces in degrees 0..cap, in order.  Stops at the first nonzero
+    dimension, so `pieces` may be a lazy iterable."""
     if cap < 0:
         raise ValueError("cap must be nonnegative")
-    for nu, dim in enumerate(dims):
+    for nu, (dim, basis) in enumerate(pieces):
         if dim > 0:
-            return IndegResult(indeg=nu, searched_up_to=nu)
+            return IndegResult(indeg=nu, searched_up_to=nu, basis=basis)
     if cap >= inp.d and inp.n >= 1:
         raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
     return IndegResult(indeg=None, searched_up_to=cap)
+
+
+def linear_dependence_check(inp: RationalMapInput):
+    """(dependent?, relation), the relation being the first vector of the
+    degree-0 syzygy basis when there is one."""
+    basis = graded_syzygy_kernel(inp, 0).basis
+    return (True, constant_relation(basis[0])) if basis else (False, None)
+
+
+def constant_relation(syzygy: tuple) -> tuple:
+    """The scalars c_i of a degree-0 syzygy (c_0, ..., c_n)."""
+    return tuple(a.terms.get((0,) * a.nvars, a.field.zero) for a in syzygy)

@@ -16,7 +16,8 @@ import pytest
 
 from fiberbound import (MvPoly, PrimeField, RationalMapInput, build_jacobian,
                         euler_syzygy, fitting_invariance_check,
-                        gcd_multivariate, gcd_of_minors, minors, run_analysis,
+                        gcd_multivariate, gcd_of_minors, jacobian_report,
+                        minors, run_analysis,
                         squarefree_decompose, tangent_rank_check)
 from fiberbound.cli import run_selftest
 from fiberbound.errors import CommonFactor
@@ -101,11 +102,11 @@ def test_criterion_4_euler_syzygy_on_random_quartics(field):
     failures = 0
     for _ in range(50):
         inp = _random_surface_map(field, 4, rng)
-        m3 = minors(build_jacobian(inp), 3)
-        if all(m.poly.is_zero() for m in m3):
+        jr = jacobian_report(inp)
+        if all(m.poly.is_zero() for m in jr.minors3):
             continue   # F zero: outside the criterion's hypothesis
-        F = gcd_of_minors(m3)
-        es = euler_syzygy(inp, F)
+        F = jr.F
+        es = euler_syzygy(inp, jr)
         combo = MvPoly.zero(field, 3)
         for a, f in zip(es.a, inp.f):
             combo = combo + a * f

@@ -252,11 +252,11 @@ def test_minor_vanishing_check(field, xyz):
     x0, x1, _ = xyz
     inp = make_family(4)
     m3 = minors(build_jacobian(inp), 3)
-    assert minor_vanishing_check(inp, (x0 - x1).monic(), m3)
-    assert minor_vanishing_check(inp, MvPoly.one(field, 3), m3)
+    assert minor_vanishing_check((x0 - x1).monic(), m3)
+    assert minor_vanishing_check(MvPoly.one(field, 3), m3)
     rng = random.Random(63)
     junk = x0 ** 2 + x1 ** 2 * 3 + x0 * x1 * field.rand_nonzero(rng)
-    assert not minor_vanishing_check(inp, junk, m3)
+    assert not minor_vanishing_check(junk, m3)
 
 
 def test_discovery_deterministic(example2, field):
@@ -420,6 +420,26 @@ def test_coverage_gap_warning_says_whether_the_stop_was_decisive(example2):
         gaps = [w for w in run_analysis(inp, budget=budget).warnings
                 if w.startswith("coverage gap")]
         assert len(gaps) == 1 and gaps[0].endswith(why)
+
+
+def test_skip_warnings_agree_in_number(xyz):
+    # Over F_13, discovery on example2 skips one base-locus point at seed 6
+    # and two at seed 42; two conjugate lines contracted to conjugate points
+    # leave one closed point with a non-rational image.
+    inp = make_example2(PrimeField(13))
+
+    def skips(inp, seed):
+        return [w for w in run_analysis(inp, seed=seed).warnings
+                if w.startswith("skipped")]
+
+    assert skips(inp, 6) == ["skipped 1 closed point in the base locus"]
+    assert skips(inp, 42) == ["skipped 2 closed points in the base locus"]
+    x0, x1, x2 = xyz
+    conjugate = RationalMapInput.create(
+        x0.field, [x1 * x2 ** 2, x0 * x2 ** 2, x0 ** 3 + x0 * x1 ** 2,
+                   x0 ** 2 * x1 + x1 ** 3])
+    assert skips(conjugate, 42) == \
+        ["skipped 1 closed point with non-rational image"]
 
 
 def test_discovery_finds_a_cubic_through_a_degree_3_point(field, xyz):

@@ -2,13 +2,15 @@
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+import fiberbound.jacobian as jac_mod
 from fiberbound import (AllMinorsZero, CharDividesDegree, MvPoly, PrimeField,
-                        RationalMapInput, SingularChange, SOutOfRange,
+                        RationalField, RationalMapInput, SingularChange, SOutOfRange,
                         build_jacobian, euler_syzygy, fitting_invariance_check,
-                        gcd_of_minors, generic_finiteness_check,
+                        gcd_of_minors, jacobian_report,
                         linear_dependence_check, minors)
 from fiberbound.errors import (CommonFactor, FDoesNotDivideMinor, MixedDegrees,
                                NotHomogeneous)
@@ -185,7 +187,8 @@ def test_all_minors_zero(field):
     assert all(m.poly.is_zero() for m in m3)
     with pytest.raises(AllMinorsZero):
         gcd_of_minors(m3)
-    itop, i3 = generic_finiteness_check(inp)
+    jr = jacobian_report(inp)
+    itop, i3 = jr.i_top_nonzero, jr.i3_nonzero
     assert not i3
 
 
@@ -211,8 +214,7 @@ def test_laplace_identity_random_quartics(field):
 
 def test_euler_syzygy_example2(field):
     inp = make_example2()
-    F = gcd_of_minors(minors(build_jacobian(inp), 3))
-    es = euler_syzygy(inp, F)
+    es = euler_syzygy(inp, jacobian_report(inp))
     assert es.delta == 15 - 11 == 4
     combo = MvPoly.zero(field, 3)
     for a, f in zip(es.a, inp.f):
@@ -223,8 +225,7 @@ def test_euler_syzygy_example2(field):
 
 def test_euler_syzygy_dependent_cube(field):
     inp = make_cube_dependent()
-    F = gcd_of_minors(minors(build_jacobian(inp), 3))
-    es = euler_syzygy(inp, F)
+    es = euler_syzygy(inp, jacobian_report(inp))
     assert es.delta == 0
     # constant syzygy proportional to (1, 1, 0, -1)
     vals = [a.leading_coefficient() if not a.is_zero() else field.zero
@@ -239,10 +240,10 @@ def test_euler_syzygy_dependent_cube(field):
 def test_euler_syzygy_rejects_a_non_divisor(field, make):
     # F * X0 does not divide every signed maximal minor of these maps.
     inp = make()
-    m3 = minors(build_jacobian(inp), 3)
-    F = gcd_of_minors(m3)
+    jr = jacobian_report(inp)
+    F = jr.F
     with pytest.raises(FDoesNotDivideMinor):
-        euler_syzygy(inp, F * MvPoly.variable(field, 3, 0), minors3=m3)
+        euler_syzygy(inp, replace(jr, F=F * MvPoly.variable(field, 3, 0)))
 
 
 def test_euler_syzygy_char_guard():
@@ -292,16 +293,18 @@ def test_fitting_invariance_random_change(field):
 
 def test_fitting_invariance_singular_rejected(field):
     inp = make_example2()
+    F = gcd_of_minors(minors(build_jacobian(inp), 3))
     sing = [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 1]]
     with pytest.raises(SingularChange):
-        fitting_invariance_check(inp, sing)
+        fitting_invariance_check(inp, sing, F=F)
 
 
 def test_generic_finiteness_identity_and_fixtures(field, xyz):
     x0, x1, x2 = xyz
-    ident = RationalMapInput.create(field, [x0, x1, x2])
-    assert generic_finiteness_check(ident) == (True, True)
-    itop, i3 = generic_finiteness_check(make_example2())
+    ident = jacobian_report(RationalMapInput.create(field, [x0, x1, x2]))
+    assert (ident.i_top_nonzero, ident.i3_nonzero) == (True, True)
+    jr = jacobian_report(make_example2())
+    itop, i3 = jr.i_top_nonzero, jr.i3_nonzero
     assert itop and i3
 
 
@@ -311,7 +314,60 @@ def test_generic_finiteness_exact_fallback_on_top_minors(field):
     x0, x1, x2 = (MvPoly.variable(field, 4, j) for j in range(3))
     inp = RationalMapInput.create(
         field, [x0 ** 2, x1 ** 2, x2 ** 2, x0 * x1, x1 * x2])
-    assert generic_finiteness_check(inp) == (False, True)
+    jr = jacobian_report(inp)
+    assert (jr.i_top_nonzero, jr.i3_nonzero) == (False, True)
+
+
+def _rank_deficient_map(F, m, rng):
+    """A map P^m --> P^(m+1) with I_{m+1}(J) = 0.
+
+    For m >= 2 the forms omit X_m, so that column of J is zero.  No valid
+    map of P^1 has I_2 = 0 (each ratio f_i / f_j would have a zero
+    differential, hence be a p-th power, and p would divide d), so for
+    m = 1 two proportional forms are taken without validation.
+    """
+    if m == 1:
+        g = random_poly(F, 2, 2, rng, homogeneous_deg=2, density=1.0)
+        return RationalMapInput(field=F, varnames=("X0", "X1"),
+                                f=(g, g.scale(F.rand_nonzero(rng))))
+    while True:
+        polys = [random_poly(F, m + 1, 2, rng, homogeneous_deg=2)
+                 for _ in range(m + 2)]
+        polys = [MvPoly(F, m + 1, {e: c for e, c in fp.terms.items()
+                                   if not e[m]}) for fp in polys]
+        try:
+            return RationalMapInput.create(F, polys)
+        except (CommonFactor, ValueError):
+            continue
+
+
+@pytest.mark.parametrize("F", [PrimeField(), RationalField()], ids=["fp", "q"])
+def test_i_top_matches_an_exact_scan_of_the_top_minors(F):
+    # m + 1 = 3 is read off the held 3-minors; m = 1 and m = 3 sample J at
+    # seeded points first and expand the top minors only when every sample
+    # is deficient.  Either way the flag is exact.
+    rng = random.Random(57)
+    for m in (1, 2, 3):
+        maps = [_random_map(F, m + 1, m + 2, 3 if m < 3 else 2, rng)
+                for _ in range(2)]
+        maps.append(_rank_deficient_map(F, m, rng))
+        for inp in maps:
+            exact = any(not mn.poly.is_zero()
+                        for mn in minors(build_jacobian(inp), m + 1))
+            assert jacobian_report(inp).i_top_nonzero == exact
+        assert [jacobian_report(inp).i_top_nonzero for inp in maps] == \
+            [True, True, False], m
+
+
+def test_jacobian_report_evaluates_nothing_on_the_plane(field, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("J was evaluated at a point")
+
+    monkeypatch.setattr(MvPoly, "evaluate", forbidden)
+    monkeypatch.setattr(jac_mod, "rank", forbidden)
+    for inp in (make_example2(), make_cube_dependent(), make_family(5)):
+        jr = jacobian_report(inp)
+        assert jr.i_top_nonzero and jr.i3_nonzero
 
 
 def test_validation_errors(field, xyz):

@@ -5,14 +5,15 @@ from math import comb
 
 import pytest
 
+import fiberbound.linalg as linalg_mod
 import fiberbound.syzygy as syz_mod
 from fiberbound import (MvPoly, PrimeField, RationalField, RationalMapInput,
                         graded_syzygy_kernel, indeg_syzygy, parse_map_file,
                         run_analysis)
 from fiberbound.errors import CommonFactor
 from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
-from fiberbound.jacobian import linear_dependence_check
-from fiberbound.syzygy import monomials_of_degree
+from fiberbound.poly import grlex_key
+from fiberbound.syzygy import linear_dependence_check, monomials_of_degree
 
 from conftest import independent_rank_mod_p, random_poly
 
@@ -81,8 +82,8 @@ def test_indeg_zero_iff_dependent(field):
 
 @pytest.mark.parametrize("F", [PrimeField(), RationalField()], ids=["fp", "q"])
 def test_analysis_reads_dependent_off_indeg_zero(F):
-    # run_analysis sets `dependent` from indeg(Syz) = 0 and asks
-    # linear_dependence_check only for the relation it reports
+    # run_analysis sets `dependent` from indeg(Syz) = 0 and reads `relation`
+    # off the degree-0 basis, which linear_dependence_check also views
     spec = f"p={F.char}" if F.char else "rational"
     counting = parse_map_file(f"field {spec}\nvars X0 X1\nf0 X0^2\n"
                               "f1 X0*X1\nf2 X1^2\nf3 X0^2 + 2*X1^2\n")
@@ -157,6 +158,31 @@ def test_monomials_of_degree_order_and_count(field):
     assert monos[0] == (2, 0, 0)
     assert monos[-1] == (0, 0, 2)
     assert len(set(monos)) == len(monos)
+    for nvars, deg in ((1, 0), (1, 4), (2, 0), (2, 5), (3, 7), (4, 3),
+                       (5, 6)):
+        monos = monomials_of_degree(nvars, deg)
+        assert monos == sorted(monos, key=grlex_key, reverse=True)
+        assert len(set(monos)) == len(monos) == comb(deg + nvars - 1,
+                                                     nvars - 1)
+        assert all(sum(e) == deg and len(e) == nvars for e in monos)
+
+
+def test_a_dependent_map_eliminates_its_degree_0_matrix_once(field,
+                                                             monkeypatch):
+    # indeg_syzygy ranks degree 0, builds the verified basis there, and
+    # run_analysis reads the relation off that basis.
+    calls = []
+    real_rref = linalg_mod.rref
+
+    def counting(F, rows):
+        calls.append(len(rows))
+        return real_rref(F, rows)
+
+    monkeypatch.setattr(linalg_mod, "rref", counting)
+    rep = run_analysis(make_cube_dependent(), budget=1)
+    assert rep.dependent and rep.indeg.indeg == 0
+    assert calls == [10]
+    assert [field.lift_balanced(c) for c in rep.relation] == [-1, -1, 0, 1]
 
 
 def _dense_map(field, rng, d, nvars=3, nforms=4):
