@@ -14,9 +14,9 @@ names = inp.varnames
 print(f"degree-6 surface map; kernel dimensions of (a_0..a_3) -> sum a_i f_i:")
 for nu in range(4):
     k = graded_syzygy_kernel(inp, nu)
-    print(f"  degree {nu}: dim {k.dimension}")
-    if k.dimension and nu <= 2:
-        a = k.basis[0]
+    print(f"  degree {nu}: dim {len(k)}")
+    if k and nu <= 2:
+        a = k[0]
         print("    e.g. (" + ", ".join(ai.to_str(names) for ai in a) + ")")
 res = indeg_syzygy(inp)
 print(f"indeg(Syz) = {res.indeg}")

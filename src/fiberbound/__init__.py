@@ -28,8 +28,7 @@ from .jacobian import (EulerSyzygy, JacobianReport, Minor, RationalMapInput,
                        jacobian_report, minors)
 from .mapfile import parse_map_file, parse_polynomial, print_map_file
 from .poly import MvPoly
-from .syzygy import (GradedKernelBasis, IndegResult, graded_syzygy_kernel,
-                     indeg_syzygy, linear_dependence_check,
-                     monomials_of_degree)
+from .syzygy import (IndegResult, graded_syzygy_kernel, indeg_syzygy,
+                     linear_dependence_check, monomials_of_degree)
 
 __version__ = "0.1.0"

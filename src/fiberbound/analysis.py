@@ -46,7 +46,7 @@ class AnalysisReport:
     dependent: bool
     relation: tuple | None
     euler: EulerSyzygy | None
-    indeg: IndegResult | None
+    indeg: IndegResult
     discovery: DiscoveryResult | None
     chain: BoundChainReport | None
     warnings: list
@@ -85,9 +85,8 @@ class AnalysisReport:
             "eulerSyzygy": ({"delta": self.euler.delta,
                              "aDegrees": [a.total_degree() for a in self.euler.a]}
                             if self.euler is not None else None),
-            "indegSyz": self.indeg.indeg if self.indeg is not None else None,
-            "indegSearchedUpTo": (self.indeg.searched_up_to
-                                  if self.indeg is not None else None),
+            "indegSyz": self.indeg.indeg,
+            "indegSearchedUpTo": self.indeg.indeg,
             "seed": self.seed,
             "budget": self.budget,
             "warnings": list(self.warnings),
@@ -145,8 +144,7 @@ class AnalysisReport:
         if self.euler is not None:
             out.append(f"Euler syzygy: delta = {self.euler.delta}, "
                        f"sum a_i f_i = 0 verified")
-        if self.indeg is not None:
-            out.append(f"indeg(Syz) = {self.indeg.indeg}")
+        out.append(f"indeg(Syz) = {self.indeg.indeg}")
         if self.discovery is not None:
             disc = self.discovery
             out.append(f"fibers discovered (seed {self.seed}, budget {self.budget}):")

@@ -12,11 +12,11 @@ import json
 import sys
 
 from .analysis import fiber_json, run_analysis
-from .errors import BadInput, BadPoint, FiberboundError
+from .errors import BadInput, BadPoint, FiberboundError, NoSyzygyFound
 from .fibers import FiberRecord, ProjectivePoint, tangent_rank_check
 from .fixtures import FIXTURES
 from .mapfile import parse_map_file
-from .syzygy import graded_syzygy_kernel, indeg_from_pieces
+from .syzygy import graded_syzygy_kernel
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -74,19 +74,20 @@ def cmd_fiber(args) -> int:
 def cmd_syzygy(args) -> int:
     inp = _load(args.file)
     cap = args.max_degree if args.max_degree is not None else inp.d
-    bases = [graded_syzygy_kernel(inp, nu).basis for nu in range(cap + 1)]
-    dims = [len(basis) for basis in bases]
-    result = indeg_from_pieces(inp, zip(dims, bases), cap)
+    dims = [len(graded_syzygy_kernel(inp, nu)) for nu in range(cap + 1)]
+    indeg = next((nu for nu, dim in enumerate(dims) if dim), None)
+    if indeg is None and cap >= inp.d:
+        raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
     if args.json:
         print(json.dumps({"dimensions": [{"degree": nu, "dim": d}
                                          for nu, d in enumerate(dims)],
-                          "indegSyz": result.indeg,
-                          "searchedUpTo": result.searched_up_to},
+                          "indegSyz": indeg,
+                          "searchedUpTo": cap if indeg is None else indeg},
                          sort_keys=True, indent=2))
     else:
         for nu, dim in enumerate(dims):
             print(f"degree {nu}: kernel dimension {dim}")
-        print(f"indeg(Syz) = {result.indeg}")
+        print(f"indeg(Syz) = {indeg}")
     return EXIT_OK
 
 
@@ -153,8 +154,25 @@ def cmd_selftest(args) -> int:
     return run_selftest(seed=args.seed, budget=args.budget, as_json=args.json)
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse would print a usage block and exit with 2, which here means a
+    # degree-bound violation; subparsers are built from this class too.
+    def error(self, message):
+        raise BadInput(message)
+
+
+def _nonnegative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fiberbound",
         description="degree bounds for the fibers of rational maps "
                     "via Jacobian minor GCDs")
@@ -163,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full pipeline on a map file")
     pa.add_argument("file")
     pa.add_argument("--seed", type=int, default=42)
-    pa.add_argument("--budget", type=int, default=200,
+    pa.add_argument("--budget", type=_nonnegative, default=200,
                     help="cap on the lines fiber discovery walks")
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--second-prime", action="store_true",
@@ -179,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("syzygy", help="graded syzygy kernel dimensions")
     ps.add_argument("file")
-    ps.add_argument("--max-degree", type=int, default=None)
+    ps.add_argument("--max-degree", type=_nonnegative, default=None)
     ps.add_argument("--json", action="store_true")
     ps.set_defaults(func=cmd_syzygy)
 
@@ -191,19 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("selftest", help="run the embedded paper fixtures")
     pt.add_argument("--seed", type=int, default=42)
-    pt.add_argument("--budget", type=int, default=200)
+    pt.add_argument("--budget", type=_nonnegative, default=200)
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_selftest)
     return ap
-
-
-def _check_nonnegative(args) -> None:
-    # argparse would exit with 2, which here means a degree-bound violation.
-    for option in ("budget", "max_degree"):
-        value = getattr(args, option, None)
-        if value is not None and value < 0:
-            raise BadInput(f"--{option.replace('_', '-')} must be nonnegative, "
-                           f"got {value}")
 
 
 def _join_point(argv: list) -> list:
@@ -222,9 +231,8 @@ def _join_point(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(_join_point(argv))
     try:
-        _check_nonnegative(args)
+        args = build_parser().parse_args(_join_point(argv))
         return args.func(args)
     except FiberboundError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from .errors import (AllMinorsZero, ArityMismatch, CharDividesDegree,
                      CommonFactor, FDoesNotDivideMinor, MixedDegrees,
                      NotDivisible, NotHomogeneous, SingularChange, SOutOfRange)
 from .gcd import gcd_multivariate
-from .linalg import rank
+from .linalg import rank, rank_mod_p
 # Kept bound here: bench/trace_layers.py wraps jacobian.kernel_basis.
 from .linalg import kernel_basis  # noqa: F401
 from .poly import MvPoly
@@ -230,8 +230,9 @@ def generic_finiteness_check(inp: RationalMapInput, jac: list, minors3: list) ->
     """I_{m+1}(J) != 0, given J and its 3-minors.
 
     On P^2 the top minors are the 3-minors, scanned as they are.  Otherwise
-    up to 12 random evaluations (seed 0) give nonvanishing certificates; if
-    every trial fails, the answer falls back to exact symbolic expansion.
+    up to 12 random evaluations (seed 0) give nonvanishing certificates (a
+    full `rank_mod_p`, which over Q can only understate the rank); if every
+    trial fails, the answer falls back to exact symbolic expansion.
     """
     F = inp.field
     s = inp.m + 1
@@ -242,6 +243,6 @@ def generic_finiteness_check(inp: RationalMapInput, jac: list, minors3: list) ->
     rng = random.Random(0)
     for _ in range(12):
         q = [F.rand(rng) for _ in range(s)]
-        if rank(F, [[entry.evaluate(q) for entry in row] for row in jac]) >= s:
+        if rank_mod_p(F, [[entry.evaluate(q) for entry in row] for row in jac]) >= s:
             return True
     return any(not mn.poly.is_zero() for mn in minors(jac, s))

@@ -1,10 +1,10 @@
 """Exact dense linear algebra over the coefficient field.
 
 Entries are plain ints over F_p, reduced mod p = F.char, or Fractions over
-the rationals (p = 0); the input rows may hold unreduced ints.  `rank`
-eliminates forward only, on rows packed into one int each (the word
-packing of FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008); `rref` serves
-`kernel_basis`.
+the rationals (p = 0); the input rows may hold unreduced ints.
+`rank_mod_p` eliminates forward only, on rows packed into one int each (the
+word packing of FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008); `rref` serves
+`kernel_basis` and the exact fallback of `rank` over Q.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ def rref(F, rows: list) -> tuple[list, list]:
     return rows, pivots
 
 
-def rank(F, rows: list) -> int:
-    """Rank of a list of equal-length rows.  Over Q the rows are scaled to
-    integers; their rank mod DEFAULT_PRIME is at most the rank over Q, so a
-    full one is certified and only a deficient one runs exact `rref`."""
+def rank_mod_p(F, rows: list) -> int:
+    """Rank of a list of equal-length rows over F_p, exact.  Over Q, the rank
+    mod DEFAULT_PRIME of the rows scaled to integers: at most the rank over
+    Q, so a full one certifies it."""
     ncols = len(rows[0]) if rows else 0
     p = F.char
     if p:
@@ -58,8 +58,14 @@ def rank(F, rows: list) -> int:
     for row in rows:
         den = math.lcm(*(x.denominator for x in row))
         integral.append([x.numerator * (den // x.denominator) for x in row])
-    r = _packed_rank(DEFAULT_PRIME, integral, ncols)
-    if r == min(len(rows), ncols):
+    return _packed_rank(DEFAULT_PRIME, integral, ncols)
+
+
+def rank(F, rows: list) -> int:
+    """Exact rank of a list of equal-length rows: `rank_mod_p`, followed over
+    Q by exact `rref` when that rank is not full."""
+    r = rank_mod_p(F, rows)
+    if F.char or not rows or r == min(len(rows), len(rows[0])):
         return r
     return len(rref(F, rows)[1])
 

@@ -195,6 +195,11 @@ def parse_map_file(text: str) -> RationalMapInput:
                 raise ParseError("vars line declares no variables", lineno)
             if len(set(varnames)) != len(varnames):
                 raise ParseError("duplicate variable name", lineno)
+            # An expression can reference only a name that is one whole token.
+            tokens = _tokenize(rest, lineno, rest_col)
+            for (kind, value, col), name in zip(tokens, varnames):
+                if (kind, value) != ("name", name):
+                    raise ParseError(f"invalid variable name {name!r}", lineno, col)
         elif head.startswith("f") and head[1:].isdecimal():
             try:
                 idx = int(head[1:])

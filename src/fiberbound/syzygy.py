@@ -5,10 +5,12 @@ vectors of (a_0, ..., a_n), each a_i of degree nu, to the coefficients of
 sum a_i f_i in degree nu + d.  The initial degree of the syzygy module is
 found by scanning nu upwards; a Koszul relation guarantees a hit by nu = d.
 
-`indeg_syzygy` needs no vectors: it takes ranks, and builds a kernel basis
-(RREF, re-verified symbolically) only at a hit that counting does not
-certify.  Degree 0 is always ranked, so a linearly dependent map comes back
-with its degree-0 basis, whose vectors are the linear relations.
+`graded_syzygy_kernel` settles one degree: a full rank mod p means no
+syzygy and no elimination, and otherwise one exact RREF gives the basis,
+each vector re-verified symbolically.  `indeg_syzygy` calls it at every
+degree that counting does not certify.  Degree 0 is never certified by
+counting, so a linearly dependent map comes back with its degree-0 basis,
+whose vectors are the linear relations.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import add
 
 from .errors import NoSyzygyFound, SyzygyCheckFailed
 from .jacobian import RationalMapInput
-from .linalg import kernel_basis, rank
+from .linalg import kernel_basis, rank_mod_p
 from .poly import MvPoly
 
 
@@ -40,19 +42,9 @@ def monomials_of_degree(nvars: int, deg: int) -> list:
 
 
 @dataclass
-class GradedKernelBasis:
-    basis: list          # list of (n+1)-tuples of MvPoly
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
-
-@dataclass
 class IndegResult:
-    indeg: int | None    # None marks +infinity within the searched range
-    searched_up_to: int
-    basis: list | None = None  # verified, when built (always at indeg 0)
+    indeg: int
+    basis: list | None = None  # verified, unless counting certified the hit
 
 
 def _degree_matrix(inp: RationalMapInput, nu: int) -> tuple[list, list]:
@@ -74,23 +66,27 @@ def _degree_matrix(inp: RationalMapInput, nu: int) -> tuple[list, list]:
     return source, rows
 
 
-def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> GradedKernelBasis:
-    """Kernel basis in degree nu, RREF-normalised and re-verified symbolically."""
+def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> list:
+    """Basis of the degree-nu syzygies, as (n+1)-tuples of MvPoly.
+
+    A full `rank_mod_p` returns [] with no elimination; over Q that rank can
+    only understate the true one, so it certifies there too.  Otherwise one
+    `kernel_basis` RREF gives the basis.  Each tuple is re-multiplied as a
+    syzygy, and the basis size must equal the kernel dimension the rank
+    leaves over F_p, and be at most it over Q.
+    """
     if nu < 0:
         raise ValueError("degree must be nonnegative")
-    return _verified_kernel(inp, *_degree_matrix(inp, nu))
-
-
-def _verified_kernel(inp: RationalMapInput, source: list,
-                     rows: list) -> GradedKernelBasis:
-    """Kernel basis of the degree-nu matrix `rows` from `_degree_matrix`,
-    each vector re-verified as a syzygy by multiplying it out."""
     F = inp.field
     nvars = inp.nvars
+    source, rows = _degree_matrix(inp, nu)
     k = len(source)
-    vectors = kernel_basis(F, rows, len(inp.f) * k)
+    ncols = len(inp.f) * k
+    r = rank_mod_p(F, rows)
+    if r == ncols:
+        return []
     basis = []
-    for v in vectors:
+    for v in kernel_basis(F, rows, ncols):
         # Entry i of the syzygy holds the coefficients v[i*k:(i+1)*k].
         tup = tuple(MvPoly(F, nvars, dict(zip(source, v[i * k:(i + 1) * k])))
                     for i in range(len(inp.f)))
@@ -100,54 +96,32 @@ def _verified_kernel(inp: RationalMapInput, source: list,
         if not combo.is_zero():
             raise SyzygyCheckFailed("kernel vector failed symbolic re-verification")
         basis.append(tup)
-    return GradedKernelBasis(basis=basis)
+    if len(basis) > ncols - r or (F.char and len(basis) < ncols - r):
+        raise NoSyzygyFound(f"degree {nu}: kernel basis of size {len(basis)}, "
+                            f"but the rank leaves {ncols - r}")
+    return basis
 
 
 def indeg_syzygy(inp: RationalMapInput) -> IndegResult:
-    """Smallest nu with a nonzero syzygy.  The search runs to d, where a
-    Koszul relation f_j e_i - f_i e_j makes it always succeed."""
-    pieces = (_syzygy_piece(inp, nu) for nu in range(inp.d + 1))
-    return indeg_from_pieces(inp, pieces, inp.d)
-
-
-def _syzygy_piece(inp: RationalMapInput, nu: int) -> tuple[int, list | None]:
-    """(dim Syz_nu, its verified basis or None).  Above degree 0, more
-    columns than rows give a positive lower bound and no basis; otherwise a
-    basis is built, from the matrix just ranked, at a deficient rank."""
-    m = inp.nvars - 1
-    ncols = len(inp.f) * comb(nu + m, m)
-    nrows = comb(nu + inp.d + m, m)
-    if nu and ncols > nrows:
-        return ncols - nrows, None
-    source, rows = _degree_matrix(inp, nu)
-    r = rank(inp.field, rows)
-    if r == ncols:
-        return 0, None
-    basis = _verified_kernel(inp, source, rows).basis
-    if len(basis) != ncols - r:
-        raise NoSyzygyFound(f"degree {nu}: kernel basis of size {len(basis)}, "
-                            f"but the rank leaves {ncols - r}")
-    return len(basis), basis
-
-
-def indeg_from_pieces(inp: RationalMapInput, pieces, cap: int) -> IndegResult:
-    """Initial degree from the (dimension, basis or None) of the graded
-    pieces in degrees 0..cap, in order.  Stops at the first nonzero
-    dimension, so `pieces` may be a lazy iterable."""
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    for nu, (dim, basis) in enumerate(pieces):
-        if dim > 0:
-            return IndegResult(indeg=nu, searched_up_to=nu, basis=basis)
-    if cap >= inp.d and inp.n >= 1:
-        raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
-    return IndegResult(indeg=None, searched_up_to=cap)
+    """Smallest nu with a nonzero syzygy.  Above degree 0, more coefficient
+    tuples (n+1) C(nu+m, m) than combinations C(nu+d+m, m) certify one by
+    counting, with no matrix; `graded_syzygy_kernel` settles every other
+    degree.  The search runs to d, where a Koszul relation
+    f_j e_i - f_i e_j makes it always succeed."""
+    m = inp.m
+    for nu in range(inp.d + 1):
+        if nu and len(inp.f) * comb(nu + m, m) > comb(nu + inp.d + m, m):
+            return IndegResult(indeg=nu)
+        basis = graded_syzygy_kernel(inp, nu)
+        if basis:
+            return IndegResult(indeg=nu, basis=basis)
+    raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
 
 
 def linear_dependence_check(inp: RationalMapInput):
     """(dependent?, relation), the relation being the first vector of the
     degree-0 syzygy basis when there is one."""
-    basis = graded_syzygy_kernel(inp, 0).basis
+    basis = graded_syzygy_kernel(inp, 0)
     return (True, constant_relation(basis[0])) if basis else (False, None)
 
 

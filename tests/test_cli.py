@@ -194,7 +194,9 @@ def test_fiber_json_over_rationals(tmp_path, capsys):
 @pytest.mark.parametrize("case", ["max-degree", "directory", "not-utf8",
                                   "budget-analyze", "budget-selftest",
                                   "superscript", "long-literal", "nesting",
-                                  "long-modulus", "signed-modulus"])
+                                  "long-modulus", "signed-modulus",
+                                  "no-file", "seed-not-int", "unknown-flag",
+                                  "no-point", "no-command"])
 def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
     latin1 = tmp_path / "latin1.map"
     latin1.write_bytes("# caf\u00e9\n".encode("latin-1")
@@ -227,11 +229,27 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
                          "field modulus is too long"),
         "signed-modulus": (["analyze", str(tmp_path / "signed-modulus.map")],
                            "field modulus must be an integer"),
+        # Usage errors: argparse alone would exit 2 with a usage block.
+        "no-file": (["analyze"], "file"),
+        "seed-not-int": (["analyze", str(MAPS / "family_d4.map"), "--seed",
+                          "abc"], "--seed"),
+        "unknown-flag": (["analyze", str(MAPS / "family_d4.map"), "--fast"],
+                         "--fast"),
+        "no-point": (["fiber", str(MAPS / "family_d4.map")], "--point"),
+        "no-command": ([], "command"),
     }[case]
     code, out, err = run_cli(argv, capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["analyze", "--help"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fiberbound")
 
 
 def test_syzygy_command_builds_each_kernel_once(monkeypatch, capsys):
@@ -265,10 +283,10 @@ def test_syzygy_failed_reverification_is_typed(monkeypatch, capsys):
 
     monkeypatch.setattr(syz_mod, "kernel_basis", not_a_kernel)
     with pytest.raises(SyzygyCheckFailed) as info:
-        syz_mod.graded_syzygy_kernel(make_example2(), 0)
+        syz_mod.graded_syzygy_kernel(make_example2(), 2)
     assert isinstance(info.value, FiberboundError)
     code, _, err = run_cli(["syzygy", str(MAPS / "example2.map"),
-                            "--max-degree", "1"], capsys)
+                            "--max-degree", "2"], capsys)
     assert code == 1 and "re-verification" in err
     monkeypatch.setattr(syz_mod, "kernel_basis", lambda F, rows, ncols: [])
     with pytest.raises(NoSyzygyFound):

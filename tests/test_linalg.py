@@ -9,7 +9,7 @@ import pytest
 import fiberbound.linalg as linalg
 from fiberbound import PrimeField, RationalField
 from fiberbound.fields import DEFAULT_PRIME
-from fiberbound.linalg import kernel_basis, rank, rref
+from fiberbound.linalg import kernel_basis, rank, rank_mod_p, rref
 
 from conftest import independent_rank_mod_p
 
@@ -137,6 +137,7 @@ def test_rational_rank_falls_back_when_the_prime_divides_a_minor(monkeypatch):
 
     monkeypatch.setattr(linalg, "rref", counting)
     Q = RationalField()
+    assert rank_mod_p(Q, m) == 2 and calls == []
     assert rank(Q, m) == 3 and calls == [3]
     assert rank(Q, [[1, 1], [1, 1 + P]]) == 2 and calls == [3, 2]
     assert rank(Q, [row[:2] for row in m[:2]] + [[Fraction(3), Fraction(6)]]) == 2

@@ -180,3 +180,15 @@ def test_field_modulus_is_decimal_digits(spec):
 def test_field_modulus_may_have_spaces_around_the_equals_sign(spec):
     inp = parse_map_file(f"field {spec}\nvars X0 X1\nf0 X0^2\nf1 X1^2\n")
     assert inp.field == PrimeField(13)
+
+
+@pytest.mark.parametrize("names,bad,col", [("X Y 3", "3", 10),
+                                           ("X Y Z-W", "Z-W", 10),
+                                           ("X 2Y Z", "2Y", 8),
+                                           ("X^2 Y", "X^2", 6)])
+def test_vars_are_names_an_expression_can_reference(names, bad, col):
+    with pytest.raises(ParseError) as exc:
+        parse_map_file(f"# a map\nvars {names}\nf0 X^2\nf1 Y^2\n")
+    assert str(exc.value) == f"invalid variable name {bad!r} at line 2, col {col}"
+    inp = parse_map_file("vars x_0 Y1 _z\nf0 x_0^2\nf1 Y1^2\nf2 _z^2\n")
+    assert inp.varnames == ("x_0", "Y1", "_z")

@@ -7,9 +7,9 @@ import pytest
 
 import fiberbound.linalg as linalg_mod
 import fiberbound.syzygy as syz_mod
-from fiberbound import (MvPoly, PrimeField, RationalField, RationalMapInput,
-                        graded_syzygy_kernel, indeg_syzygy, parse_map_file,
-                        run_analysis)
+from fiberbound import (DEFAULT_PRIME, MvPoly, PrimeField, RationalField,
+                        RationalMapInput, graded_syzygy_kernel, indeg_syzygy,
+                        parse_map_file, run_analysis)
 from fiberbound.errors import CommonFactor
 from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
 from fiberbound.poly import grlex_key
@@ -38,8 +38,8 @@ def test_koszul_pair(field):
     x1 = MvPoly.variable(field, 2, 1)
     inp = RationalMapInput.create(field, [x0, x1])
     k = graded_syzygy_kernel(inp, 1)
-    assert k.dimension == 1
-    a0, a1 = k.basis[0]
+    assert len(k) == 1
+    a0, a1 = k[0]
     # kernel is spanned by (X1, -X0) up to scalar
     assert a0 * inp.f[0] + a1 * inp.f[1] == MvPoly.zero(field, 2)
     assert a0.total_degree() == 1 and a1.total_degree() == 1
@@ -49,7 +49,7 @@ def test_koszul_tuples_at_degree_d(field):
     inp = make_family(4)
     k = graded_syzygy_kernel(inp, inp.d)
     # each pair (i, j) gives the relation f_j e_i - f_i e_j
-    assert k.dimension >= 1
+    assert len(k) >= 1
     for i in range(4):
         for j in range(i + 1, 4):
             combo = inp.f[j] * inp.f[i] - inp.f[i] * inp.f[j]
@@ -58,10 +58,10 @@ def test_koszul_tuples_at_degree_d(field):
 
 def test_example2_indeg_and_low_degrees(field):
     inp = make_example2()
-    assert graded_syzygy_kernel(inp, 0).dimension == 0
-    assert graded_syzygy_kernel(inp, 1).dimension == 0
+    assert len(graded_syzygy_kernel(inp, 0)) == 0
+    assert len(graded_syzygy_kernel(inp, 1)) == 0
     k2 = graded_syzygy_kernel(inp, 2)
-    assert k2.dimension > 0
+    assert len(k2) > 0
     res = indeg_syzygy(inp)
     assert res.indeg == 2
 
@@ -70,7 +70,7 @@ def test_cube_constant_syzygy(field):
     res = indeg_syzygy(make_cube_dependent())
     assert res.indeg == 0
     k0 = graded_syzygy_kernel(make_cube_dependent(), 0)
-    assert k0.dimension == 1
+    assert len(k0) == 1
 
 
 def test_indeg_zero_iff_dependent(field):
@@ -142,8 +142,8 @@ def test_kernel_dimension_against_independent_rank(field):
             rows = _assemble_matrix_independently(inp, nu)
             ncols = 4 * len(monomials_of_degree(3, nu))
             rank = independent_rank_mod_p(p, rows)
-            assert k.dimension == ncols - rank
-            for tup in k.basis:
+            assert len(k) == ncols - rank
+            for tup in k:
                 combo = MvPoly.zero(field, 3)
                 for a, f in zip(tup, inp.f):
                     combo = combo + a * f
@@ -185,6 +185,44 @@ def test_a_dependent_map_eliminates_its_degree_0_matrix_once(field,
     assert [field.lift_balanced(c) for c in rep.relation] == [-1, -1, 0, 1]
 
 
+@pytest.mark.parametrize("F", [PrimeField(), RationalField()], ids=["fp", "q"])
+def test_a_full_rank_mod_p_builds_no_kernel(F, monkeypatch):
+    # Degrees 0 and 1 of example2 have full rank, which settles them.  A
+    # rank deficient mod p runs one elimination, which over Q may find no
+    # kernel.
+    calls = []
+    real = syz_mod.kernel_basis
+
+    def counting(F, rows, ncols):
+        calls.append(ncols)
+        return real(F, rows, ncols)
+
+    monkeypatch.setattr(syz_mod, "kernel_basis", counting)
+    assert graded_syzygy_kernel(make_example2(F), 0) == []
+    assert graded_syzygy_kernel(make_example2(F), 1) == []
+    assert calls == []
+    kernel = graded_syzygy_kernel(_singular_mod_p(F), 0)
+    assert calls == [3]
+    # f0 + f1 - f2 = 0 mod 2^31 - 1; over Q the forms are independent
+    assert len(kernel) == (1 if F.char else 0)
+
+
+def test_a_deficient_rational_degree_is_eliminated_once(monkeypatch):
+    # The rank mod p settles degrees 0 and 1 of example2; at degree 2, one
+    # exact elimination gives both the rank and the kernel basis.
+    calls = []
+    real_rref = linalg_mod.rref
+
+    def counting(F, rows):
+        calls.append(len(rows[0]))
+        return real_rref(F, rows)
+
+    monkeypatch.setattr(linalg_mod, "rref", counting)
+    res = indeg_syzygy(make_example2(RationalField()))
+    assert res.indeg == 2 and res.basis
+    assert calls == [4 * comb(2 + 2, 2)]
+
+
 def _dense_map(field, rng, d, nvars=3, nforms=4):
     while True:
         polys = [random_poly(field, nvars, d, rng, homogeneous_deg=d,
@@ -201,7 +239,7 @@ def test_dense_maps_hit_at_the_counted_degree(field, monkeypatch):
     # where the first count exceeds the second.
     rng = random.Random(53)
     ranks = []
-    real_rank = syz_mod.rank
+    real_rank = syz_mod.rank_mod_p
 
     def counting(F, rows):
         ranks.append(len(rows[0]))
@@ -210,7 +248,7 @@ def test_dense_maps_hit_at_the_counted_degree(field, monkeypatch):
     def no_kernel(F, rows, ncols):
         raise AssertionError(f"kernel basis built for {ncols} columns")
 
-    monkeypatch.setattr(syz_mod, "rank", counting)
+    monkeypatch.setattr(syz_mod, "rank_mod_p", counting)
     monkeypatch.setattr(syz_mod, "kernel_basis", no_kernel)
     for d in range(3, 7):
         inp = _dense_map(field, rng, d)
@@ -222,9 +260,19 @@ def test_dense_maps_hit_at_the_counted_degree(field, monkeypatch):
         assert ranks == [4 * comb(nu + 2, 2) for nu in range(counted)]
 
 
+def _singular_mod_p(F):
+    """Linearly independent over Q, but mod 2^31 - 1 the third form is the
+    sum of the other two, so over Q the degree-0 matrix has full rank while
+    its rank mod 2^31 - 1 is deficient."""
+    spec = f"p={F.char}" if F.char else "rational"
+    return parse_map_file(f"field {spec}\nvars X Y Z\nf0 X^2\nf1 Y^2\n"
+                          f"f2 X^2 + Y^2 + {DEFAULT_PRIME}*Z^2\n")
+
+
 FIXTURES = {"cube_dependent": make_cube_dependent, "example2": make_example2,
             **{f"family_d{d}": (lambda fld, d=d: make_family(d, fld))
-               for d in range(4, 8)}}
+               for d in range(4, 8)},
+            "singular_mod_p": _singular_mod_p}
 
 
 @pytest.mark.parametrize("F", [PrimeField(), RationalField()], ids=["fp", "q"])
@@ -232,7 +280,7 @@ FIXTURES = {"cube_dependent": make_cube_dependent, "example2": make_example2,
 def test_indeg_is_the_first_nonzero_kernel_on_fixtures(name, F):
     inp = FIXTURES[name](F)
     first = next(nu for nu in range(inp.d + 1)
-                 if graded_syzygy_kernel(inp, nu).dimension)
+                 if len(graded_syzygy_kernel(inp, nu)))
     assert indeg_syzygy(inp).indeg == first
 
 
