@@ -49,8 +49,7 @@ def _parse_point(text: str, field, expected_len: int) -> ProjectivePoint:
 
 def cmd_analyze(args) -> int:
     inp = _load(args.file)
-    report = run_analysis(inp, seed=args.seed, budget=args.budget,
-                          second_prime=args.second_prime)
+    report = run_analysis(inp, seed=args.seed, second_prime=args.second_prime)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return report.exit_code()
 
@@ -100,17 +99,17 @@ def cmd_rank_check(args) -> int:
     return EXIT_OK if r.consistent else EXIT_VIOLATION
 
 
-def run_selftest(fixtures=FIXTURES, seed: int = 42, budget: int = 200,
-                 out=None, as_json: bool = False) -> int:
-    """Run the embedded fixtures against their pinned expectations, writing
-    to `out` (sys.stdout at the time of the call when None)."""
+def run_selftest(fixtures=FIXTURES, out=None, as_json: bool = False) -> int:
+    """Run the embedded fixtures through `run_analysis` with its defaults
+    against their pinned expectations, writing to `out` (sys.stdout at the
+    time of the call when None)."""
     if out is None:
         out = sys.stdout
     results = []
     ok_all = True
     for fx in fixtures:
         inp = fx.build()
-        report = run_analysis(inp, seed=seed, budget=budget)
+        report = run_analysis(inp)
         euler_ok = (report.euler is not None
                     if (inp.m, inp.n) == (2, 3) and report.jacobian.F is not None
                     else True)
@@ -151,7 +150,7 @@ def run_selftest(fixtures=FIXTURES, seed: int = 42, budget: int = 200,
 
 
 def cmd_selftest(args) -> int:
-    return run_selftest(seed=args.seed, budget=args.budget, as_json=args.json)
+    return run_selftest(as_json=args.json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -181,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full pipeline on a map file")
     pa.add_argument("file")
     pa.add_argument("--seed", type=int, default=42)
-    pa.add_argument("--budget", type=_nonnegative, default=200,
-                    help="cap on the lines fiber discovery walks")
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--second-prime", action="store_true",
                     help="recompute deg F modulo a second prime")
@@ -208,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_rank_check)
 
     pt = sub.add_parser("selftest", help="run the embedded paper fixtures")
-    pt.add_argument("--seed", type=int, default=42)
-    pt.add_argument("--budget", type=_nonnegative, default=200)
     pt.add_argument("--json", action="store_true")
     pt.set_defaults(func=cmd_selftest)
     return ap

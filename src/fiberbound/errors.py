@@ -76,9 +76,10 @@ class MixedDegrees(FiberboundError):
 class CommonFactor(FiberboundError):
     """The input forms share a nonconstant common divisor."""
 
-    def __init__(self, gcd):
+    def __init__(self, gcd, names=None):
         self.gcd = gcd
-        super().__init__(f"generators share the common factor {gcd}")
+        super().__init__("generators share the common factor "
+                         + gcd.to_str(names))
 
 
 class ParseError(FiberboundError):

@@ -15,11 +15,13 @@ import random
 DEFAULT_PRIME = 2147483647
 SECOND_PRIME = 2147483629
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all thirteen bases above.
+MODULUS_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for every n below 3.3 * 10^24."""
+    """Deterministic Miller-Rabin; exact for every n below MODULUS_BOUND."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -43,11 +45,15 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """The field F_p for an odd prime p; elements are ints in [0, p)."""
+    """The field F_p for an odd prime p below MODULUS_BOUND, where primality
+    is decided exactly; elements are ints in [0, p)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int = DEFAULT_PRIME):
+        if p >= MODULUS_BOUND:
+            raise ValueError(f"field modulus must be below {MODULUS_BOUND}, "
+                             f"got {p}")
         if p < 3 or not is_prime(p):
             raise ValueError(f"field modulus must be an odd prime, got {p}")
         self.p = p

@@ -15,9 +15,10 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .errors import (AllMinorsZero, ArityMismatch, CharDividesDegree,
-                     CommonFactor, FDoesNotDivideMinor, MixedDegrees,
-                     NotDivisible, NotHomogeneous, SingularChange, SOutOfRange)
+from .errors import (AllMinorsZero, ArityMismatch, BadInput,
+                     CharDividesDegree, CommonFactor, FDoesNotDivideMinor,
+                     MixedDegrees, NotDivisible, NotHomogeneous,
+                     SingularChange, SOutOfRange)
 from .gcd import gcd_multivariate
 from .linalg import rank, rank_mod_p
 # Kept bound here: bench/trace_layers.py wraps jacobian.kernel_basis.
@@ -70,10 +71,11 @@ class RationalMapInput:
             raise ArityMismatch("variable name list does not match the ring")
         nonzero = [fp for fp in polys if not fp.is_zero()]
         if not nonzero:
-            raise ValueError("all forms are zero")
+            raise BadInput("all forms are zero")
         for fp in nonzero:
             if not fp.is_homogeneous():
-                raise NotHomogeneous(f"form is not homogeneous: {fp}")
+                raise NotHomogeneous("form is not homogeneous: "
+                                     + fp.to_str(varnames))
         degs = {fp.total_degree() for fp in nonzero}
         if len(degs) > 1:
             raise MixedDegrees(f"forms have degrees {sorted(degs)}")
@@ -82,7 +84,7 @@ class RationalMapInput:
             raise NotHomogeneous("forms must have positive degree")
         g = gcd_multivariate(*nonzero)
         if not g.is_constant():
-            raise CommonFactor(g)
+            raise CommonFactor(g, varnames)
         p = field.char
         if p and d % p == 0:
             raise CharDividesDegree(f"characteristic {p} divides degree {d}")

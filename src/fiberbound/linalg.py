@@ -4,7 +4,7 @@ Entries are plain ints over F_p, reduced mod p = F.char, or Fractions over
 the rationals (p = 0); the input rows may hold unreduced ints.
 `rank_mod_p` eliminates forward only, on rows packed into one int each (the
 word packing of FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008); `rref` serves
-`kernel_basis` and the exact fallback of `rank` over Q.
+`kernel_basis` and the exact `rank`, which ranks only small scalar matrices.
 """
 
 from __future__ import annotations
@@ -62,11 +62,7 @@ def rank_mod_p(F, rows: list) -> int:
 
 
 def rank(F, rows: list) -> int:
-    """Exact rank of a list of equal-length rows: `rank_mod_p`, followed over
-    Q by exact `rref` when that rank is not full."""
-    r = rank_mod_p(F, rows)
-    if F.char or not rows or r == min(len(rows), len(rows[0])):
-        return r
+    """Exact rank of a list of equal-length rows: the pivot count of `rref`."""
     return len(rref(F, rows)[1])
 
 

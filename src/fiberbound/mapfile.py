@@ -18,6 +18,8 @@ dividing d.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ParseError
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
 from .jacobian import RationalMapInput
@@ -228,12 +230,21 @@ def parse_map_file(text: str) -> RationalMapInput:
 
 
 def print_map_file(inp: RationalMapInput) -> str:
-    """Render an input back to map-file text (reparses to an equal input)."""
+    """Render an input back to map-file text.
+
+    Over F_p the text reparses to an equal input.  Over Q, where literals
+    are integers, every form is multiplied by the lcm of all coefficient
+    denominators: one common scalar, so the text defines the same map.
+    """
+    forms = inp.f
     if inp.field.char:
         lines = [f"field p={inp.field.char}"]
     else:
         lines = ["field rational"]
+        den = math.lcm(*(c.denominator for fi in forms
+                         for c in fi.terms.values()))
+        forms = [fi.scale(den) for fi in forms]
     lines.append("vars " + " ".join(inp.varnames))
-    for i, fi in enumerate(inp.f):
+    for i, fi in enumerate(forms):
         lines.append(f"f{i} {fi.to_str(inp.varnames)}")
     return "\n".join(lines) + "\n"

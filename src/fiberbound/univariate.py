@@ -14,8 +14,8 @@ split peels off, for k = 1, 2, ..., the product gcd(a, t^(p^k) - t) of the
 irreducible factors of degree k and divides every copy of them out of a, so
 a need not be square-free; a randomised equal-degree split separates each
 product into its factors, finishing two linear factors with the quadratic
-formula.  Roots and irreducible quadratics are the degree-1 and degree-2
-factors.
+formula when p = 3 (mod 4).  Roots and irreducible quadratics are the
+degree-1 and degree-2 factors.
 The splits draw from a fixed internal seed; the results are sorted, so no
 seed could change them.
 """
@@ -131,35 +131,6 @@ def u_powmod(base: list, e: int, mod: list, p: int) -> list:
     return result
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo the odd prime p, or None for a non-residue."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def _distinct_degree(a: list, p: int) -> list:
     """[(k, g_k)]: g_k is the product of the distinct degree-k irreducible
     factors of the monic a.  a need not be square-free: a is divided by g_k,
@@ -192,9 +163,11 @@ def _equal_degree(g: list, k: int, p: int, rng: random.Random) -> list:
     dg = u_deg(g)
     if dg <= k:
         return [g] if dg == k else []
-    if k == 1 and dg == 2:
+    if k == 1 and dg == 2 and p % 4 == 3:
+        # g is a product of two distinct linear factors, so b^2 - 4c is a
+        # nonzero square, and its (p + 1)/4-th power is a square root.
         b, c = g[1], g[0]
-        s = sqrt_mod(b * b - 4 * c, p)
+        s = pow(b * b - 4 * c, (p + 1) // 4, p)
         inv2 = pow(2, -1, p)
         return [[(b - s) * inv2 % p, 1], [(b + s) * inv2 % p, 1]]
     half = (p ** k - 1) // 2

@@ -234,7 +234,7 @@ def test_criterion_9_negative_control(field):
                   sum_deg=8, sum_weighted=9, indeg=2)
     import io
     buf = io.StringIO()
-    code = run_selftest(fixtures=[bad], out=buf, budget=60)
+    code = run_selftest(fixtures=[bad], out=buf)
     assert code != 0
     assert "degF" in buf.getvalue()
     print(f"ACCEPTANCE 9 PASS: perturbed f3 drops degF to {degF} and "

@@ -23,7 +23,7 @@ def run_cli(args, capsys):
 
 def test_analyze_human_output(capsys):
     code, out, _ = run_cli(["analyze", str(MAPS / "family_d4.map"),
-                            "--seed", "42", "--budget", "80"], capsys)
+                            "--seed", "42"], capsys)
     assert code == 0
     assert "deg F = 6" in out
     assert "chain: 6 <= 6 <= 6 <= 9" in out
@@ -31,8 +31,7 @@ def test_analyze_human_output(capsys):
 
 def test_analyze_json_fields(capsys):
     code, out, _ = run_cli(["analyze", str(MAPS / "example2.map"),
-                            "--seed", "42", "--budget", "120", "--json"],
-                           capsys)
+                            "--seed", "42", "--json"], capsys)
     assert code == 0
     d = json.loads(out)
     assert d["degF"] == 11 and d["indegSyz"] == 2
@@ -106,7 +105,7 @@ def test_rank_check_command(capsys):
 
 def test_selftest_passes():
     buf = io.StringIO()
-    code = run_selftest(out=buf, budget=80)
+    code = run_selftest(out=buf)
     assert code == 0
     assert "all fixtures ok" in buf.getvalue()
 
@@ -116,14 +115,14 @@ def test_selftest_output_follows_the_current_stdout():
     # after import captures the table.
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(["selftest", "--budget", "80"])
+        code = main(["selftest"])
     assert code == 0
     assert "all fixtures ok" in buf.getvalue()
 
 
 def test_selftest_json():
     buf = io.StringIO()
-    code = run_selftest(out=buf, budget=80, as_json=True)
+    code = run_selftest(out=buf, as_json=True)
     assert code == 0
     d = json.loads(buf.getvalue())
     assert d["ok"] is True and len(d["fixtures"]) == len(FIXTURES)
@@ -143,7 +142,7 @@ def test_selftest_detects_corrupted_fixture():
     bad = Fixture("example2_corrupt", _corrupted_example2, deg_f=11,
                   sum_deg=8, sum_weighted=9, indeg=2)
     buf = io.StringIO()
-    code = run_selftest(fixtures=[bad], out=buf, budget=60)
+    code = run_selftest(fixtures=[bad], out=buf)
     assert code != 0
     text = buf.getvalue()
     assert "FAIL" in text and "degF" in text
@@ -151,7 +150,7 @@ def test_selftest_detects_corrupted_fixture():
 
 def test_second_prime_never_changes_degF_on_fixtures(capsys):
     for name in ("example2.map", "family_d5.map", "cube_dependent.map"):
-        code, out, _ = run_cli(["analyze", str(MAPS / name), "--budget", "40",
+        code, out, _ = run_cli(["analyze", str(MAPS / name),
                                 "--second-prime", "--json"], capsys)
         assert code == 0
         d = json.loads(out)
@@ -160,8 +159,8 @@ def test_second_prime_never_changes_degF_on_fixtures(capsys):
 
 
 def test_dependent_fixture_warning(capsys):
-    code, out, _ = run_cli(["analyze", str(MAPS / "cube_dependent.map"),
-                            "--budget", "40"], capsys)
+    code, out, _ = run_cli(["analyze", str(MAPS / "cube_dependent.map")],
+                           capsys)
     assert code == 0
     assert "linearly dependent" in out
     assert "deg F = 6" in out
@@ -193,10 +192,11 @@ def test_fiber_json_over_rationals(tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["max-degree", "directory", "not-utf8",
                                   "budget-analyze", "budget-selftest",
+                                  "seed-selftest",
                                   "superscript", "long-literal", "nesting",
                                   "long-modulus", "signed-modulus",
-                                  "no-file", "seed-not-int", "unknown-flag",
-                                  "no-point", "no-command"])
+                                  "all-zero", "no-file", "seed-not-int",
+                                  "unknown-flag", "no-point", "no-command"])
 def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
     latin1 = tmp_path / "latin1.map"
     latin1.write_bytes("# caf\u00e9\n".encode("latin-1")
@@ -211,6 +211,7 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
         (tmp_path / f"{name}.map").write_text(
             f"field p={modulus}\nvars X0 X1 X2\nf0 X0^2\nf1 X1^2\n"
             "f2 X2^2\n", encoding="utf-8")
+    (tmp_path / "all-zero.map").write_text("vars X Y\nf0 0\nf1 0\n")
     argv, message = {
         "max-degree": (["syzygy", str(MAPS / "example2.map"),
                         "--max-degree", "-1"], "--max-degree"),
@@ -219,6 +220,7 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
         "budget-analyze": (["analyze", str(MAPS / "family_d4.map"), "--json",
                             "--budget", "-3"], "--budget"),
         "budget-selftest": (["selftest", "--budget", "-3"], "--budget"),
+        "seed-selftest": (["selftest", "--seed", "1"], "--seed"),
         "superscript": (["analyze", str(tmp_path / "superscript.map")],
                         "unexpected character"),
         "long-literal": (["analyze", str(tmp_path / "long-literal.map")],
@@ -229,6 +231,8 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
                          "field modulus is too long"),
         "signed-modulus": (["analyze", str(tmp_path / "signed-modulus.map")],
                            "field modulus must be an integer"),
+        "all-zero": (["analyze", str(tmp_path / "all-zero.map")],
+                     "all forms are zero"),
         # Usage errors: argparse alone would exit 2 with a usage block.
         "no-file": (["analyze"], "file"),
         "seed-not-int": (["analyze", str(MAPS / "family_d4.map"), "--seed",

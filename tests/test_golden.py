@@ -1,7 +1,7 @@
 """`analyze --json` output pinned byte for byte, per map file and field.
 
 The files under tests/golden/ hold the exact stdout of
-`fiberbound analyze --json --seed 42 --budget 40` on the six maps/ files over
+`fiberbound analyze --json --seed 42` on the six maps/ files over
 F_p and on the same files rewritten to `field rational`.  Any change to a
 reported value, a key, the ordering or the formatting shows up here.
 """
@@ -29,8 +29,7 @@ def test_analyze_json_matches_golden(name, rational, tmp_path, capsys):
     if rational:
         path = tmp_path / f"{name}.map"
         path.write_text(_rational((ROOT / "maps" / f"{name}.map").read_text()))
-    code = main(["analyze", "--json", "--seed", "42", "--budget", "40",
-                 str(path)])
+    code = main(["analyze", "--json", "--seed", "42", str(path)])
     out = capsys.readouterr().out
     suffix = "_rational" if rational else ""
     assert code == 0

@@ -12,8 +12,8 @@ from fiberbound import (AllMinorsZero, CharDividesDegree, MvPoly, PrimeField,
                         build_jacobian, euler_syzygy, fitting_invariance_check,
                         gcd_of_minors, jacobian_report,
                         linear_dependence_check, minors)
-from fiberbound.errors import (CommonFactor, FDoesNotDivideMinor, MixedDegrees,
-                               NotHomogeneous)
+from fiberbound.errors import (BadInput, CommonFactor, FDoesNotDivideMinor,
+                               MixedDegrees, NotHomogeneous)
 from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
 
 from conftest import random_poly
@@ -337,7 +337,7 @@ def _rank_deficient_map(F, m, rng):
                                    if not e[m]}) for fp in polys]
         try:
             return RationalMapInput.create(F, polys)
-        except (CommonFactor, ValueError):
+        except (BadInput, CommonFactor):
             continue
 
 

@@ -143,4 +143,4 @@ def test_rational_rank_falls_back_when_the_prime_divides_a_minor(monkeypatch):
     assert rank(Q, [row[:2] for row in m[:2]] + [[Fraction(3), Fraction(6)]]) == 2
     calls.clear()
     assert rank(Q, [[Fraction(1, 3), Fraction(2)], [Fraction(0), Fraction(5, 7)]]) == 2
-    assert calls == []
+    assert calls == [2]

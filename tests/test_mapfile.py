@@ -1,11 +1,14 @@
 """Map-file grammar, validation diagnostics, and the print/parse round trip."""
 
+from fractions import Fraction
+
 import pytest
 
 from fiberbound import (CharDividesDegree, CommonFactor, MixedDegrees,
                         NotHomogeneous, ParseError, parse_map_file,
                         parse_polynomial, print_map_file)
-from fiberbound.fields import PrimeField, RationalField
+from fiberbound.fields import PrimeField, RationalField, is_prime
+from fiberbound.jacobian import RationalMapInput, jacobian_report
 
 EXAMPLE2 = """\
 # the degree-6 fixture
@@ -69,12 +72,19 @@ def test_common_factor_reported():
     with pytest.raises(CommonFactor) as exc:
         parse_map_file("vars X0 X1\nf0 2*X0^2\nf1 0\n")
     assert str(exc.value.gcd) == "X0^2"
+    # The message names the variables of the vars line.
+    with pytest.raises(CommonFactor) as exc:
+        parse_map_file("vars A B C\nf0 A*B\nf1 A*C\nf2 A^2\n")
+    assert str(exc.value) == "generators share the common factor A"
 
 
 def test_not_homogeneous():
     text = "vars X0 X1\nf0 X0^2 + X1\nf1 X1^2\n"
     with pytest.raises(NotHomogeneous):
         parse_map_file(text)
+    with pytest.raises(NotHomogeneous) as exc:
+        parse_map_file("vars A B C\nf0 A*B + C\nf1 B^2\nf2 C^2\n")
+    assert str(exc.value) == "form is not homogeneous: A*B + C"
 
 
 def test_mixed_degrees():
@@ -93,6 +103,33 @@ def test_non_prime_modulus_rejected():
     text = "field p=91\nvars X0 X1\nf0 X0\nf1 X1\n"
     with pytest.raises(ParseError):
         parse_map_file(text)
+    # psi_12 fools the bases 2..37, psi_13 the bases 2..41: moduli from
+    # psi_13 on are refused, since primality is no longer decided exactly.
+    psi12 = 318665857834031151167461   # 399165290221 * 798330580441
+    psi13 = 3317044064679887385961981
+    assert not is_prime(psi12)
+    for modulus in (psi12, psi13):
+        with pytest.raises(ParseError) as exc:
+            parse_map_file(f"field p={modulus}\nvars X0 X1\nf0 X0\nf1 X1\n")
+        assert exc.value.line == 1
+    assert PrimeField(2 ** 61 - 1).char == 2 ** 61 - 1
+
+
+def test_round_trip_over_q_scales_by_one_integer():
+    Q = RationalField()
+    base = parse_map_file(EXAMPLE2.replace("field p=2147483647",
+                                           "field rational"))
+    f = list(base.f)
+    f[0], f[2] = f[0].scale(Fraction(1, 2)), f[2].scale(Fraction(2, 3))
+    inp = RationalMapInput.create(Q, f, base.varnames)
+    text = print_map_file(inp)
+    assert "/" not in text
+    again = parse_map_file(text)
+    e, c0 = next(iter(inp.f[0].terms.items()))
+    c = again.f[0].terms[e] / c0
+    assert c.denominator == 1
+    assert again.f == tuple(fi.scale(c) for fi in inp.f)
+    assert jacobian_report(again).F == jacobian_report(inp).F
 
 
 def test_round_trip_on_shipped_fixtures():

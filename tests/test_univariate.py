@@ -6,8 +6,8 @@ import random
 import pytest
 
 from fiberbound import MvPoly, PrimeField, RationalField, RationalModeUnsupported
-from fiberbound.univariate import (irreducible_quadratics, sqrt_mod, u_factor,
-                                   u_mul, u_roots)
+from fiberbound.univariate import (irreducible_quadratics, u_factor, u_mul,
+                                   u_roots)
 
 
 def _with_roots(roots, lead=1) -> list:
@@ -22,6 +22,8 @@ def test_roots_small_field_examples():
     F7 = PrimeField(7)
     assert u_roots(F7, [-1, 0, 1]) == [1, 6]   # t^2 - 1
     assert u_roots(F7, [1, 0, 1]) == []        # -1 is a non-residue mod 7
+    # 13 = 1 (mod 4): the two linear factors split at random, not by formula
+    assert u_roots(PrimeField(13), [-1, 0, 1]) == [1, 12]
 
 
 def test_roots_from_known_construction(field):
@@ -60,15 +62,6 @@ def test_roots_of_multivariate_restriction(field):
     x2 = MvPoly.variable(field, 3, 2)
     coeffs = (x2 ** 2 - 4).on_line((0, 0, 0), (0, 0, 1))
     assert u_roots(field, coeffs) == [2, field.conv(-2)]
-
-
-def test_sqrt_mod_small_and_large():
-    for p in (7, 13, 2147483647):
-        squares = {pow(a, 2, p) for a in range(1, min(p, 200))}
-        for s in list(squares)[:20]:
-            r = sqrt_mod(s, p)
-            assert r is not None and r * r % p == s
-    assert sqrt_mod(3, 7) is None   # non-residue
 
 
 def test_irreducible_quadratics_extraction(field):
