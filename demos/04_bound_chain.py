@@ -14,13 +14,13 @@ from fiberbound.fixtures import make_example2, make_family
 print(f"{'d':>3} {'sum deg':>8} {'weighted':>9} {'deg F':>6} "
       f"{'3(d-1)-indeg':>13} {'3(d-1)':>7}")
 for d in (4, 5, 6, 7):
-    rep = run_analysis(make_family(d), seed=42, budget=120)
+    rep = run_analysis(make_family(d))
     ch = rep.chain
     print(f"{d:>3} {ch.sum_deg:>8} {ch.sum_weighted:>9} {ch.degF:>6} "
           f"{ch.refined:>13} {ch.outer:>7}   chain ok: {rep.chain_ok}")
 
 print("\ndegree-6 example with multiplicity weighting visible:")
-rep = run_analysis(make_example2(), seed=42, budget=200)
+rep = run_analysis(make_example2())
 ch = rep.chain
 print(f"  {ch.sum_deg} <= {ch.sum_weighted} <= {ch.degF} <= {ch.outer}")
 print(f"  refined: deg F = {ch.degF} <= {ch.refined} = 3(d-1) - indeg(Syz)")

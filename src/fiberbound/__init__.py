@@ -14,8 +14,8 @@ from .errors import (AllCombinationsZero, AllMinorsZero, ArityMismatch,
                      BadInput, BadPoint, BasePointError, CharDividesDegree,
                      CommonFactor, FDoesNotDivideMinor, FiberboundError,
                      MixedDegrees, NoSyzygyFound, NotDivisible, NotHomogeneous,
-                     ParseError, PthPowerHazard, RationalModeUnsupported,
-                     SingularChange, SOutOfRange, SyzygyCheckFailed)
+                     ParseError, RationalModeUnsupported, SingularChange,
+                     SOutOfRange, SyzygyCheckFailed)
 from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      ProjectivePoint, RankCheck, discover_fibers,
                      fiber_equation, minor_vanishing_check,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import (CharDividesDegree, FDoesNotDivideMinor, PthPowerHazard,
+from .errors import (CharDividesDegree, FDoesNotDivideMinor,
                      RationalModeUnsupported)
 from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      discover_fibers, verify_bound_chain)
@@ -217,8 +217,6 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
             discovery = discover_fibers(inp, jr.F, budget=budget, seed=seed)
         except RationalModeUnsupported:
             warnings.append("fiber discovery skipped: it needs a prime field")
-        except PthPowerHazard as exc:
-            warnings.append(f"fiber discovery skipped: {exc}")
         records = discovery.records if discovery is not None else []
         chain = verify_bound_chain(inp, records, jr.F, indeg=indeg.indeg)
         if not chain.ok:

@@ -13,10 +13,6 @@ class NotDivisible(FiberboundError):
     """Exact division was requested but the remainder is nonzero."""
 
 
-class PthPowerHazard(FiberboundError):
-    """Square-free decomposition refused: characteristic <= degree."""
-
-
 class RationalModeUnsupported(FiberboundError):
     """Operation needs a prime field but the session field is the rationals."""
 

@@ -24,9 +24,10 @@ to constants (one variable needs no base case of its own: there the
 contents are constants).  The PRS is also the tests' reference for Brown's
 gcd.
 
-Square-free decomposition iterates gcds with the partial derivatives, which
-needs the characteristic to exceed the total degree; smaller primes raise
-PthPowerHazard.
+Square-free decomposition iterates gcds with the partial derivatives
+(Yun 1976) in every characteristic.  Over F_p that loop misses only a p-th
+power b^p, and b is read off by dividing every exponent by p, since
+Frobenius fixes F_p (Gianni & Trager 1996).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import PthPowerHazard
 from .poly import MvPoly
 from .univariate import _inv, u_deg, u_divmod, u_eval, u_gcd, u_mul, u_reduce
 
@@ -311,14 +311,13 @@ def _divides(g: dict, t: dict, F) -> bool:
 
 
 def squarefree_part(a: MvPoly) -> MvPoly:
-    """Product of the distinct irreducible factors of a, monic."""
-    if a.is_zero():
-        raise ValueError("square-free part of the zero polynomial")
-    if a.is_constant():
-        return MvPoly.one(a.field, a.nvars)
-    _check_char(a)
-    c = _derivative_gcd(a)
-    return a.exact_div(c).monic()
+    """Product of the distinct irreducible factors of a, monic: the product
+    of `squarefree_decompose`'s parts (a / gcd(a, da) would drop the p-th
+    powers)."""
+    sf = MvPoly.one(a.field, a.nvars)
+    for part, _ in squarefree_decompose(a):
+        sf = sf * part
+    return sf
 
 
 def squarefree_decompose(a: MvPoly) -> list[tuple[MvPoly, int]]:
@@ -330,8 +329,7 @@ def squarefree_decompose(a: MvPoly) -> list[tuple[MvPoly, int]]:
         raise ValueError("cannot decompose the zero polynomial")
     if a.is_constant():
         return []
-    _check_char(a)
-    c = _derivative_gcd(a)          # prod p_i^(e_i - 1)
+    c = _derivative_gcd(a)          # prod p_i^(e_i - 1), times b^p over F_p
     w = a.exact_div(c).monic()      # prod p_i
     parts = []
     e = 1
@@ -344,24 +342,25 @@ def squarefree_decompose(a: MvPoly) -> list[tuple[MvPoly, int]]:
             c = c.exact_div(w_next)
         w = w_next
         e += 1
-    return parts
-
-
-def _check_char(a: MvPoly) -> None:
+    if c.is_constant():
+        return parts
+    # What is left is b^p, the factors whose multiplicity p divides; over Q
+    # c always ends constant.
     p = a.field.char
-    if 0 < p <= a.total_degree():
-        raise PthPowerHazard(
-            f"characteristic {p} <= degree {a.total_degree()}: "
-            "p-th powers would collapse")
+    b = MvPoly(a.field, a.nvars,
+               {tuple(k // p for k in x): v for x, v in c.terms.items()})
+    parts += [(q, k * p) for q, k in squarefree_decompose(b)]
+    return sorted(parts, key=lambda pe: pe[1])
 
 
 def _derivative_gcd(a: MvPoly) -> MvPoly:
     """gcd(a, da/dX_0, ..., da/dX_m), monic.
 
-    A form needs no a: deg a * a = sum X_j da/dX_j (Euler), and p > deg a,
-    so the partials' gcd divides a.
+    A form of degree prime to p needs no a: deg a * a = sum X_j da/dX_j
+    (Euler), so the partials' gcd divides a.
     """
+    p = a.field.char
     partials = [a.derivative(j) for j in range(a.nvars)]
-    if a.is_homogeneous():
+    if a.is_homogeneous() and (not p or a.total_degree() % p):
         return gcd_multivariate(*partials)
     return gcd_multivariate(a, *partials)

@@ -313,23 +313,27 @@ def test_point_with_negative_first_coordinate(command, point, capsys):
         assert "consistent = True" in out
 
 
-@pytest.mark.parametrize("p", [5, 7, 11])
-def test_small_prime_skips_discovery_with_a_warning(p, tmp_path, capsys):
-    # p <= deg F = 11 rules out the square-free step discovery needs, but F,
-    # indeg(Syz) and the outer chain still hold
-    text = (MAPS / "example2.map").read_text()
-    small = tmp_path / f"example2_p{p}.map"
+@pytest.mark.parametrize("name,p", [
+    ("cube_dependent", 5), ("example2", 5), ("example2", 7), ("example2", 11),
+    ("family_d4", 5), ("family_d5", 7), ("family_d6", 5), ("family_d6", 7),
+    ("family_d7", 5), ("family_d7", 11)])
+def test_small_prime_runs_discovery(name, p, tmp_path, capsys):
+    # every maps/ input at a prime 5..59 with p <= deg F and p not dividing
+    # d: square-free decomposition works in every characteristic, so
+    # discovery runs and finds the default prime's fibers
+    text = (MAPS / f"{name}.map").read_text()
+    small = tmp_path / f"{name}_p{p}.map"
     small.write_text("".join(f"field p={p}\n" if ln.startswith("field") else ln
                              for ln in text.splitlines(True)))
     code, out, _ = run_cli(["analyze", "--json", str(small)], capsys)
     assert code == 0
     d = json.loads(out)
-    assert (d["p"], d["degF"], d["indegSyz"]) == (p, 11, 2)
-    assert (d["sumDeg"], d["sumWeighted"], d["refinedBound"]) == (0, 0, 13)
-    assert d["chainOk"] is True and d["coverage"] is None and d["fibers"] == []
-    assert any(w.startswith("fiber discovery skipped: characteristic "
-                            f"{p} <= degree")
-               for w in d["warnings"])
+    assert d["p"] == p <= d["degF"]
+    assert d["chainOk"] is True and d["coverage"] is not None
+    golden = json.loads((MAPS.parent / "tests" / "golden"
+                         / f"{name}.json").read_text())
+    keys = ("degF", "indegSyz", "refinedBound", "sumDeg", "sumWeighted")
+    assert [d[k] for k in keys] == [golden[k] for k in keys]
 
 
 def test_cremona_map_exits_zero_without_a_refined_bound(tmp_path, capsys):

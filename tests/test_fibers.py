@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from fiberbound import (BasePointError, MvPoly, ProjectivePoint,
-                        RationalMapInput, build_jacobian, discover_fibers,
-                        fiber_equation, gcd_multivariate, gcd_of_minors,
-                        minor_vanishing_check, minors, squarefree_part,
-                        tangent_rank_check, verify_bound_chain)
+from fiberbound import (BasePointError, FiberRecord, MvPoly,
+                        ProjectivePoint, RationalMapInput, build_jacobian,
+                        discover_fibers, fiber_equation, gcd_multivariate,
+                        gcd_of_minors, minor_vanishing_check, minors,
+                        squarefree_part, tangent_rank_check,
+                        verify_bound_chain)
 from fiberbound.analysis import run_analysis
 from fiberbound.errors import CommonFactor, RationalModeUnsupported
 from fiberbound.fields import PrimeField, RationalField
@@ -299,12 +300,12 @@ def _random_gl(field, size, rng):
             return A
 
 
-def _gl_copy(inp, rng):
-    """g = B f(A X): the same fibers in random coordinates on both sides."""
+def _source_change(inp, A):
+    """The forms f(A X)."""
     field, nv = inp.field, inp.nvars
     X = [MvPoly.variable(field, nv, j) for j in range(nv)]
     AX = [sum((X[j].scale(c) for j, c in enumerate(row)), MvPoly.zero(field, nv))
-          for row in _random_gl(field, nv, rng)]
+          for row in A]
     subst = []
     for f in inp.f:
         acc = MvPoly.zero(field, nv)
@@ -315,6 +316,13 @@ def _gl_copy(inp, rng):
                     t = t * AX[j] ** k
             acc = acc + t
         subst.append(acc)
+    return subst
+
+
+def _gl_copy(inp, rng):
+    """g = B f(A X): the same fibers in random coordinates on both sides."""
+    field, nv = inp.field, inp.nvars
+    subst = _source_change(inp, _random_gl(field, nv, rng))
     g = [sum((fj.scale(c) for fj, c in zip(subst, row)), MvPoly.zero(field, nv))
          for row in _random_gl(field, len(inp.f), rng)]
     return RationalMapInput.create(field, g)
@@ -379,6 +387,31 @@ def test_a_line_tangent_to_z_sf_with_no_base_point_is_decisive():
     assert (sum(r.deg_h for r in disc.records),
             sum(r.weighted_deg for r in disc.records)) == (8, 9)
     assert disc.covered_degree == 7
+
+
+@pytest.mark.parametrize("d", [4, 5, 6, 7])
+def test_discovery_pushes_only_points_of_z_sf(d, monkeypatch):
+    # The records cover all of sf on these maps, so every point of Z(sf)
+    # off the base locus has a divisorial fiber.  The line's point at
+    # infinity is one of them only when deg u < deg sf; in the original
+    # coordinates it always lies on a coordinate factor of sf, so a sheared
+    # copy is needed to tell.
+    inp = make_family(d)
+    inp = RationalMapInput.create(inp.field, _source_change(
+        inp, [[1, 0, 0], [2, 1, 0], [3, 5, 1]]))
+    F = gcd_of_minors(minors(build_jacobian(inp), 3))
+    real = FiberRecord.at
+    degrees = []
+
+    def at(inp, y):
+        rec = real(inp, y)
+        degrees.append(rec.deg_h)
+        return rec
+
+    monkeypatch.setattr(FiberRecord, "at", at)
+    disc = discover_fibers(inp, F, seed=1)
+    assert disc.covered_degree == disc.squarefree_f_degree
+    assert degrees and all(degrees)
 
 
 def test_a_line_through_a_base_point_is_not_decisive():

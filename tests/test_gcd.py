@@ -14,10 +14,10 @@ import random
 
 import pytest
 
-from fiberbound import (ArityMismatch, MvPoly, PrimeField, PthPowerHazard,
-                        RationalField, RationalMapInput, gcd,
-                        gcd_multivariate, parse_map_file, run_analysis,
-                        squarefree_decompose, squarefree_part)
+from fiberbound import (ArityMismatch, MvPoly, PrimeField, RationalField,
+                        RationalMapInput, gcd, gcd_multivariate,
+                        parse_map_file, run_analysis, squarefree_decompose,
+                        squarefree_part)
 
 from conftest import random_nonzero_poly
 
@@ -164,12 +164,27 @@ def test_squarefree_reconstruction_and_coprimality(field):
                 assert g.is_constant()
 
 
-def test_squarefree_small_characteristic_hazard(xyz):
+def test_squarefree_in_small_characteristic():
+    # p <= deg: multiplicities below p come out of the derivative loop, and
+    # a p-th power b^p, which every partial kills, comes out of the
+    # exponent-divided b; with p | deg a form keeps itself in the
+    # derivative gcd
+    def decompose(a):
+        return [(str(q), e) for q, e in squarefree_decompose(a)]
+
     F7 = PrimeField(7)
-    x = MvPoly.variable(F7, 2, 0)
-    y = MvPoly.variable(F7, 2, 1)
-    with pytest.raises(PthPowerHazard):
-        squarefree_decompose(x ** 5 * y ** 3)
+    x, y = (MvPoly.variable(F7, 2, j) for j in range(2))
+    assert decompose(x ** 5 * y ** 3) == [("X1", 3), ("X0", 5)]
+    x0, x1, x2 = (MvPoly.variable(F7, 3, j) for j in range(3))
+    assert decompose((x0 - x1) ** 7 * x2) == [("X2", 1), ("X0 - X1", 7)]
+    a = (x0 - x1) ** 7 * x2 ** 7
+    assert decompose(a) == [("X0*X2 - X1*X2", 7)]
+    assert squarefree_part(a) == (x0 - x1) * x2
+    F3 = PrimeField(3)
+    x, y = (MvPoly.variable(F3, 2, j) for j in range(2))
+    one = MvPoly.one(F3, 2)
+    assert decompose((x + y + one) ** 9 * (x - y) ** 3 * (x * y + one) ** 2) \
+        == [("X0*X1 + 1", 2), ("X0 - X1", 3), ("X0 + X1 + 1", 9)]
 
 
 def test_gcd_over_rationals():

@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from fiberbound import MvPoly, PrimeField, RationalField, RationalModeUnsupported
-from fiberbound.univariate import (irreducible_quadratics, u_factor, u_mul,
-                                   u_roots)
+from fiberbound import (MvPoly, PrimeField, RationalField,
+                        RationalModeUnsupported, univariate)
+from fiberbound.univariate import (_distinct_degree, irreducible_quadratics,
+                                   u_factor, u_mul, u_roots)
 
 
 def _with_roots(roots, lead=1) -> list:
@@ -153,6 +154,19 @@ def test_factor_returns_an_irreducible_whole(p):
     assert u_factor(F, [5]) == []
     with pytest.raises(ValueError):
         u_factor(F, [])
+
+
+def test_distinct_degree_stops_once_no_two_factors_fit(monkeypatch):
+    # t^5 + 3t^4 + 1 is irreducible over F_7: after the degree-2 round a
+    # quintic cannot hold two factors of degree >= 3, so two p-th powers
+    # settle it
+    calls = []
+    real = univariate.u_powmod
+    monkeypatch.setattr(univariate, "u_powmod",
+                        lambda *args: calls.append(1) or real(*args))
+    a = [1, 0, 0, 0, 3, 1]
+    assert _distinct_degree(a, 7) == [(5, a)]
+    assert len(calls) == 2
 
 
 def test_factor_needs_no_square_free_input():
