@@ -18,8 +18,7 @@ from .errors import (AllCombinationsZero, AllMinorsZero, ArityMismatch,
                      SOutOfRange, SyzygyCheckFailed)
 from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      ProjectivePoint, RankCheck, discover_fibers,
-                     fiber_equation, minor_vanishing_check,
-                     tangent_rank_check, verify_bound_chain)
+                     fiber_equation, tangent_rank_check, verify_bound_chain)
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
 from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
 from .jacobian import (EulerSyzygy, JacobianReport, Minor, RationalMapInput,

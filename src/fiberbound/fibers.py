@@ -348,12 +348,3 @@ def tangent_rank_check(inp: RationalMapInput, q) -> RankCheck:
     return RankCheck(rank_j=rank_j, rank_dphi=rank_d,
                      consistent=rank_j == rank_d + 1)
 
-
-def minor_vanishing_check(h: MvPoly, minors3: list) -> bool:
-    """Does squarefree(h) divide every nonzero 3-minor exactly?"""
-    if h.is_constant():
-        return True
-    sf = squarefree_part(h)
-    if sf.is_constant():
-        return True
-    return all(sf.divides(mn.poly) for mn in minors3 if not mn.poly.is_zero())

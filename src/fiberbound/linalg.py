@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .fields import DEFAULT_PRIME
+from .poly import unpack_slots
 
 
 def rref(F, rows: list) -> tuple[list, list]:
@@ -93,9 +94,8 @@ def _packed_rank(p: int, rows: list, ncols: int) -> int:
         if k is None:
             live = [s for r in live if (s := r >> bits)]
         else:
-            raw = live.pop(k).to_bytes((ncols - c) * width, "little")
-            slots = [int.from_bytes(raw[j:j + width], "little")
-                     for j in range(0, len(raw), width)]
+            slots = unpack_slots(live.pop(k), width,
+                                 range(0, (ncols - c) * width, width))
             inv = pow(slots[0], -1, p)
             pivot = pack([x * inv for x in slots])
             found += 1

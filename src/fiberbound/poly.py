@@ -11,12 +11,22 @@ between workers.
 
 The canonical term order everywhere is graded lexicographic: compare total
 degree first, then the exponent tuple lexicographically.
+
+A product runs a dict loop over the term pairs, except that two forms over
+F_p with enough pairs are Kronecker-packed (von zur Gathen & Gerhard 8.4;
+Harvey 2009): X0 is dropped, the other exponents pick a slot of whole bytes
+in one int per operand, one int product forms every pair, and the product's
+slots are read back at the monomials of its degree.  A slot is wide enough
+for the sum it can receive, so no slot carries into the next, and both
+paths hand the constructor the same unreduced sums.  `unpack_slots` also
+reads the packed rows of `linalg._packed_rank`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import ArityMismatch, NotDivisible
@@ -26,6 +36,98 @@ from .univariate import u_mul, u_reduce
 def grlex_key(exps: tuple) -> tuple:
     """Sort key realising graded-lex order (a strict total order on monomials)."""
     return (sum(exps), exps)
+
+
+def monomials_of_degree(nvars: int, deg: int) -> list:
+    """All exponent tuples of the given total degree, graded-lex descending:
+    within one degree that is lex order, which the recursion emits."""
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for k in range(remaining, -1, -1):
+            rec(prefix + (k,), remaining - k, slots - 1)
+
+    rec((), deg, nvars)
+    return out
+
+
+def unpack_slots(x: int, width: int, offsets) -> list:
+    """The width-byte little-endian slots of x that start at the given byte
+    offsets; a slot above the top byte of x reads 0."""
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(raw[o:o + width], "little") for o in offsets]
+
+
+# Least number of term pairs for a Kronecker-packed product.  On random dense
+# forms in 2, 3 and 4 variables over F_(2^31-1) (CPython 3.11, shared 2-vCPU
+# x86 host, best of 15) the dict loop is faster below about 30 pairs and the
+# packed product from about 60 pairs on: 0.65-0.73x at 54-64 pairs, 0.35-0.5x
+# at 150-700, 0.11x at 55 x 190 terms.
+KRONECKER_PAIRS = 64
+
+
+def _packs(a: "MvPoly", b: "MvPoly") -> bool:
+    """Is a * b Kronecker-packed?  It takes two forms over F_p with at least
+    KRONECKER_PAIRS term pairs (so at least 2 variables: a form in one is a
+    single term) and no fewer pairs than the packed product has slots:
+    sparse forms of high degree pack into mostly empty slots, and there the
+    dict loop was 3-40x faster."""
+    pairs = len(a.terms) * len(b.terms)
+    if not a.field.char or pairs < KRONECKER_PAIRS \
+            or not (a.is_homogeneous() and b.is_homogeneous()):
+        return False
+    deg = a.total_degree() + b.total_degree()
+    return pairs > deg * (deg + 1) ** (a.nvars - 2)
+
+
+def _dict_mul(a: dict, b: dict) -> dict:
+    """Unreduced terms of a product, one dict update per term pair."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            c = c1 * c2
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+    return out
+
+
+def _kronecker_mul(p: int, a: dict, b: dict) -> dict:
+    """Unreduced terms of the product of two nonzero forms over F_p, given
+    by their term maps with coefficients in [0, p), from one int product.
+
+    X0 is dropped and (e_1..e_{n-1}) goes to slot sum e_j D^(j-1) with
+    D = deg a + deg b + 1, which no exponent of the product reaches, so
+    distinct product monomials get distinct slots.  A slot receives at most
+    m = min(#a, #b) products, each at most (p-1)^2 < 2^(2 bitlen p), so it
+    stays below 2^(2 bitlen p + bitlen m) and, that many bits rounded up to
+    whole bytes wide, never carries into the next one."""
+    width = (2 * p.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    ea, eb = next(iter(a)), next(iter(b))
+    weights, exps, offsets = _kronecker_layout(len(ea), sum(ea) + sum(eb),
+                                               width)
+
+    def pack(terms: dict) -> int:
+        at = [sum(map(mul, e, weights)) for e in terms]
+        buf = bytearray(max(at) + width)
+        for o, c in zip(at, terms.values()):
+            buf[o:o + width] = c.to_bytes(width, "little")
+        return int.from_bytes(buf, "little")
+
+    return dict(zip(exps, unpack_slots(pack(a) * pack(b), width, offsets)))
+
+
+@lru_cache(maxsize=64)
+def _kronecker_layout(nvars: int, deg: int, width: int) -> tuple:
+    """(byte offset per unit of each exponent, the monomials of degree deg,
+    their byte offsets) for products of degree deg packed width bytes a slot:
+    every product of one degree shares them."""
+    weights = (0,) + tuple(width * (deg + 1) ** j for j in range(nvars - 1))
+    exps = tuple(monomials_of_degree(nvars, deg))
+    return weights, exps, tuple(sum(map(mul, e, weights)) for e in exps)
 
 
 class MvPoly:
@@ -145,13 +247,10 @@ class MvPoly:
         if isinstance(other, int):
             return self.scale(other)
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                prev = out.get(e)
-                out[e] = c if prev is None else prev + c
+        if _packs(self, other):
+            out = _kronecker_mul(self.field.char, self.terms, other.terms)
+        else:
+            out = _dict_mul(self.terms, other.terms)
         return MvPoly(self.field, self.nvars, out)
 
     __rmul__ = __mul__

@@ -22,23 +22,7 @@ from operator import add
 from .errors import NoSyzygyFound, SyzygyCheckFailed
 from .jacobian import RationalMapInput
 from .linalg import kernel_basis, rank_mod_p
-from .poly import MvPoly
-
-
-def monomials_of_degree(nvars: int, deg: int) -> list:
-    """All exponent tuples of the given total degree, graded-lex descending:
-    within one degree that is lex order, which the recursion emits."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for k in range(remaining, -1, -1):
-            rec(prefix + (k,), remaining - k, slots - 1)
-
-    rec((), deg, nvars)
-    return out
+from .poly import MvPoly, monomials_of_degree
 
 
 @dataclass

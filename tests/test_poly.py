@@ -7,7 +7,8 @@ import pytest
 
 from fiberbound import (ArityMismatch, MvPoly, NotDivisible, PrimeField,
                         RationalField)
-from fiberbound.poly import grlex_key
+from fiberbound.poly import (KRONECKER_PAIRS, _dict_mul, _kronecker_mul,
+                             _packs, grlex_key, monomials_of_degree)
 
 from conftest import random_poly
 
@@ -310,3 +311,120 @@ def test_exact_div_by_a_constant_is_a_scale(F):
         (x0 * x1 + MvPoly.one(F, 3)).exact_div(x0 + x1)
     with pytest.raises(NotDivisible):
         MvPoly.one(F, 3).exact_div(x0)
+
+
+# The packed product needs only p, so F_2 (which PrimeField refuses) is
+# covered on term maps; each case is (nvars, deg a, deg b).
+PACKED_PRIMES = [2, 3, 101, 2147483647]
+PACKED_SHAPES = [(2, 3, 5), (2, 9, 9), (3, 2, 4), (3, 5, 6), (3, 9, 18),
+                 (4, 2, 3), (4, 3, 5), (4, 4, 4)]
+
+
+def _random_form_terms(p, nvars, deg, rng, density):
+    terms = {e: rng.randrange(1, p) for e in monomials_of_degree(nvars, deg)
+             if rng.random() < density}
+    return terms or {(deg,) + (0,) * (nvars - 1): 1}
+
+
+def _packed(p, a, b):
+    """The packed product's nonzero exact slot sums, whatever the gate says."""
+    out = _kronecker_mul(p, a, b)
+    return {e: c for e, c in out.items() if c}
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_product_equals_the_dict_loop(p):
+    # Coefficients are positive ints, so no exact slot sum is 0 and the two
+    # unreduced term maps agree key for key and value for value.
+    rng = random.Random(p)
+    for nvars, da, db in PACKED_SHAPES:
+        for density in (1.0, 0.5, 0.1):
+            a = _random_form_terms(p, nvars, da, rng, density)
+            b = _random_form_terms(p, nvars, db, rng, density)
+            assert _packed(p, a, b) == _dict_mul(a, b), (nvars, da, db)
+            assert _packed(p, b, a) == _dict_mul(a, b), (nvars, db, da)
+
+
+@pytest.mark.parametrize("p", [3, 101, 2147483647])
+def test_products_of_dense_forms_take_the_packed_path(p, monkeypatch):
+    F = PrimeField(p)
+    rng = random.Random(p + 1)
+    calls = []
+
+    def counted(p, a, b):
+        calls.append(len(next(iter(a))))
+        return _kronecker_mul(p, a, b)
+
+    monkeypatch.setattr("fiberbound.poly._kronecker_mul", counted)
+    for nvars, da, db in PACKED_SHAPES:
+        a = MvPoly(F, nvars, _random_form_terms(p, nvars, da, rng, 1.0))
+        b = MvPoly(F, nvars, _random_form_terms(p, nvars, db, rng, 1.0))
+        if len(a.terms) * len(b.terms) < KRONECKER_PAIRS:
+            continue
+        product = a * b
+        assert calls[-1:] == [nvars]
+        assert product == MvPoly(F, nvars, _dict_mul(a.terms, b.terms))
+        _assert_stored(F, product)
+    assert len(calls) >= 5
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+@pytest.mark.parametrize("k", [3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+def test_packed_slots_hold_the_worst_case_sum(p, k):
+    # Every coefficient p - 1 on all k monomials of degree k - 1 in X0, X1,
+    # so the middle monomial of the square sums k = min(#terms) products of
+    # (p - 1)^2: k crosses a power of two where the slot gains a bit.
+    for nvars in (2, 3):
+        a = {(k - 1 - i, i) + (0,) * (nvars - 2): p - 1 for i in range(k)}
+        got = _packed(p, a, a)
+        assert got == _dict_mul(a, a)
+        middle = (k - 1, k - 1) + (0,) * (nvars - 2)
+        assert got[middle] == k * (p - 1) ** 2
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_monomial_and_constant_factors(p):
+    rng = random.Random(p + 2)
+    for nvars, _, deg in PACKED_SHAPES:
+        dense = _random_form_terms(p, nvars, deg, rng, 1.0)
+        factors = [{(0,) * nvars: rng.randrange(1, p)},
+                   {(0,) * (nvars - 1) + (2,): p - 1},
+                   {(1,) + (0,) * (nvars - 1): 1},
+                   {(1,) * nvars: rng.randrange(1, p)}]
+        for m in factors:
+            assert _packed(p, m, dense) == _dict_mul(m, dense)
+            assert _packed(p, dense, m) == _dict_mul(dense, m)
+            assert _packed(p, m, m) == _dict_mul(m, m)
+
+
+def test_non_forms_rationals_and_one_variable_take_the_dict_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("packed product called")
+
+    monkeypatch.setattr("fiberbound.poly._kronecker_mul", refuse)
+    rng = random.Random(91)
+    F = PrimeField()
+    Q = RationalField()
+    form = random_poly(F, 3, 0, rng, homogeneous_deg=8, density=1.0)
+    other = random_poly(F, 3, 0, rng, homogeneous_deg=6, density=1.0)
+    non_form = other + MvPoly.variable(F, 3, 1)
+    assert len(form.terms) * len(non_form.terms) >= KRONECKER_PAIRS
+    for a, b in ((form, non_form), (non_form, form), (non_form, non_form)):
+        assert a * b == MvPoly(F, 3, _dict_mul(a.terms, b.terms))
+    q_form = random_poly(Q, 3, 0, rng, homogeneous_deg=8, density=1.0)
+    q_other = random_poly(Q, 3, 0, rng, homogeneous_deg=6, density=1.0)
+    assert not _packs(q_form, q_other)
+    assert q_form * q_other == MvPoly(Q, 3, _dict_mul(q_form.terms,
+                                                      q_other.terms))
+    # a form in one variable is one term, so one pair
+    t = MvPoly.variable(F, 1, 0)
+    assert not _packs(t ** 9, t ** 9)
+    assert (t ** 9) * (t ** 9) == t ** 18
+    # sparse forms of high degree: fewer term pairs than packed slots
+    mons = monomials_of_degree(3, 20)
+    sparse = [MvPoly(F, 3, {e: 1 for e in rng.sample(mons, 8)})
+              for _ in range(2)]
+    assert not _packs(*sparse)
+    assert sparse[0] * sparse[1] == MvPoly(F, 3, _dict_mul(sparse[0].terms,
+                                                           sparse[1].terms))
+    assert _packs(form, other) and not _packs(form, non_form)
