@@ -46,18 +46,16 @@ class ProjectivePoint:
     @classmethod
     def create(cls, field, coords) -> "ProjectivePoint":
         p = field.char
-        coords = tuple(field.conv(c) if isinstance(c, int) else c for c in coords)
+        coords = tuple(map(field.conv, coords))
         pivot = next((c for c in coords if c), None)
         if pivot is None:
             raise ValueError("projective point needs a nonzero coordinate")
         inv = field.inv(pivot)
         return cls(tuple(c * inv % p if p else c * inv for c in coords))
 
-    def pivot_index(self, field) -> int:
-        for i, c in enumerate(self.coords):
-            if c:
-                return i
-        raise ValueError("zero point")
+    def pivot_index(self) -> int:
+        """Index of the first nonzero coordinate, which is 1."""
+        return next(i for i, c in enumerate(self.coords) if c)
 
     def to_str(self, field) -> str:
         return "(" + " : ".join(str(field.lift_balanced(c)) for c in self.coords) + ")"
@@ -117,27 +115,19 @@ class BoundChainReport:
                 and self.refined_ok is not False)
 
 
-def fiber_equation(inp: RationalMapInput, y, pivot: int | None = None) -> MvPoly:
-    """Equation of the divisorial part of the fiber over y (constant 1 if none).
+def fiber_equation(inp: RationalMapInput, y: ProjectivePoint) -> MvPoly:
+    """Equation of the divisorial part of the fiber over the normalised point
+    y (constant 1 if none).
 
-    With i0 the pivot coordinate of y, the combinations l_i(f) = f_i -
-    y_i * f_{i0} / y_{i0} all vanish on the fiber; their GCD is h_y.
+    With i0 = y.pivot_index(), so y_{i0} = 1, the combinations l_i(f) = f_i -
+    y_i f_{i0} all vanish on the fiber; their GCD is h_y.
     """
-    F = inp.field
-    if isinstance(y, ProjectivePoint):
-        coords = y.coords
-    else:
-        coords = ProjectivePoint.create(F, y).coords
-    if len(coords) != inp.n + 1:
+    if len(y.coords) != inp.n + 1:
         raise ValueError(f"point must have {inp.n + 1} coordinates")
-    if pivot is None:
-        pivot = next(i for i, c in enumerate(coords) if c)
-    elif not coords[pivot]:
-        raise ValueError("pivot coordinate must be nonzero")
-    ell = inp.f[pivot].scale(F.inv(coords[pivot]))
+    ell = inp.f[y.pivot_index()]
     combos = []
-    for i, fi in enumerate(inp.f):
-        li = fi - ell.scale(coords[i])
+    for fi, yi in zip(inp.f, y.coords):
+        li = fi - ell.scale(yi)
         if not li.is_zero():
             combos.append(li)
     if not combos:
@@ -307,20 +297,18 @@ class RankCheck:
     consistent: bool
 
 
-def tangent_rank_check(inp: RationalMapInput, q) -> RankCheck:
+def tangent_rank_check(inp: RationalMapInput, q: ProjectivePoint) -> RankCheck:
     """Compare rank J(q) with the rank of the tangent map at q.
 
     The tangent map rank comes from the quotient-rule matrix of the affine
-    coordinates g_i = f_i / f_{i0} in the chart where the pivot coordinate
-    of q equals 1; the two ranks must differ by exactly 1 off the base locus
-    when the characteristic does not divide d.
+    coordinates g_i = f_i / f_{i0} in the chart of q's pivot coordinate,
+    q.pivot_index(), where q is 1; the two ranks must differ by exactly 1
+    off the base locus when the characteristic does not divide d.
     """
     F = inp.field
     p = F.char
     if p and inp.d % p == 0:
         raise CharDividesDegree("rank relation needs p not dividing d")
-    if not isinstance(q, ProjectivePoint):
-        q = ProjectivePoint.create(F, q)
     if len(q.coords) != inp.nvars:
         raise ValueError(f"point must have {inp.nvars} coordinates")
     coords = q.coords
@@ -330,7 +318,7 @@ def tangent_rank_check(inp: RationalMapInput, q) -> RankCheck:
     jac_at_q = [[entry.evaluate(coords) for entry in row]
                 for row in build_jacobian(inp)]
     rank_j = rank(F, jac_at_q)
-    c = q.pivot_index(F)
+    c = q.pivot_index()
     i0 = next(i for i, v in enumerate(fvals) if v)
     dphi = []
     for i in range(inp.n + 1):

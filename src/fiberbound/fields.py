@@ -3,8 +3,8 @@
 Field elements are plain Python values: int residues in [0, p) over F_p, or
 Fractions over the rationals.  Code does plain `+ - *` on them and keys on
 the characteristic `char` (p, or 0 for the rationals) to reduce mod p; the
-field object only describes the field: conversion, inverses, random
-elements and the balanced lift used for printing.
+field object only describes the field: conversion, inverses, `rand` and
+the balanced lift used for printing.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ class PrimeField:
     def rand(self, rng: random.Random) -> int:
         return rng.randrange(self.p)
 
-    def rand_nonzero(self, rng: random.Random) -> int:
-        return rng.randrange(1, self.p)
-
     def lift_balanced(self, a: int) -> int:
         """Integer representative in (-p/2, p/2]."""
         a %= self.p
@@ -126,12 +123,6 @@ class RationalField:
 
     def rand(self, rng: random.Random) -> Fraction:
         return Fraction(rng.randrange(-50, 51))
-
-    def rand_nonzero(self, rng: random.Random) -> Fraction:
-        while True:
-            v = self.rand(rng)
-            if v != 0:
-                return v
 
     def lift_balanced(self, a):
         return a

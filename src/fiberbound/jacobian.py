@@ -215,7 +215,7 @@ def fitting_invariance_check(inp: RationalMapInput, change, F: MvPoly) -> bool:
     Returns True when the two GCDs agree up to a scalar (compared monic).
     """
     Fld = inp.field
-    C = [[Fld.conv(x) if isinstance(x, int) else x for x in row] for row in change]
+    C = [[Fld.conv(x) for x in row] for row in change]
     size = inp.n + 1
     if len(C) != size or any(len(r) != size for r in C):
         raise SingularChange(f"change of basis must be {size}x{size}")

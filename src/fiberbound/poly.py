@@ -299,7 +299,11 @@ class MvPoly:
     # -- division -------------------------------------------------------------
 
     def exact_div(self, b: "MvPoly") -> "MvPoly":
-        """Quotient self / b when the division is exact; NotDivisible otherwise."""
+        """Quotient self / b when the division is exact; NotDivisible otherwise.
+
+        Divides in lex order, plain tuple comparison: an exact quotient is
+        unique, and division under any monomial order, lex included, finds it.
+        """
         self._check(b)
         if b.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -307,15 +311,15 @@ class MvPoly:
         if self.is_zero():
             return self
         p = F.char
-        lb = b.leading_monomial()
+        lb = max(b.terms)
         inv = F.inv(b.terms[lb])
         if not any(lb):
-            # Every other monomial is above 1 in grlex, so b is a constant.
+            # (0, ..., 0) is the least tuple, so b is a constant.
             return self.scale(inv)
         rem = dict(self.terms)
         quo: dict = {}
         while rem:
-            lr = max(rem, key=grlex_key)
+            lr = max(rem)
             qe = tuple(a - c for a, c in zip(lr, lb))
             if any(x < 0 for x in qe):
                 raise NotDivisible("leading monomial not divisible")

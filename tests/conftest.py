@@ -14,6 +14,17 @@ def xyz(field):
     return tuple(MvPoly.variable(field, 3, j) for j in range(3))
 
 
+def rand_nonzero(field, rng):
+    """A random nonzero element: randrange(1, p) over F_p, and over Q the
+    first nonzero draw of `field.rand`."""
+    if field.char:
+        return rng.randrange(1, field.char)
+    while True:
+        v = field.rand(rng)
+        if v:
+            return v
+
+
 def random_poly(field, nvars, max_deg, rng, homogeneous_deg=None,
                 density=0.7):
     """Random polynomial; dense in one degree when homogeneous_deg is set."""
@@ -31,7 +42,7 @@ def random_poly(field, nvars, max_deg, rng, homogeneous_deg=None,
     if p.is_zero():
         e = (max_deg if homogeneous_deg is None else homogeneous_deg,) \
             + (0,) * (nvars - 1)
-        p = MvPoly(field, nvars, {e: field.rand_nonzero(rng)})
+        p = MvPoly(field, nvars, {e: rand_nonzero(field, rng)})
     return p
 
 

@@ -15,7 +15,8 @@ import sys
 
 import pytest
 
-from fiberbound import (MvPoly, PrimeField, RationalMapInput, build_jacobian,
+from fiberbound import (MvPoly, PrimeField, ProjectivePoint,
+                        RationalMapInput, build_jacobian,
                         euler_syzygy, fitting_invariance_check,
                         gcd_multivariate, gcd_of_minors, jacobian_report,
                         minors, run_analysis,
@@ -27,7 +28,7 @@ from fiberbound.fixtures import (Fixture, make_cube_dependent,
 from fiberbound.poly import _packs
 from fiberbound.syzygy import indeg_syzygy
 
-from conftest import random_poly
+from conftest import rand_nonzero, random_poly
 from test_gcd import _random_atoms
 
 MAPS = pathlib.Path(__file__).resolve().parent.parent / "maps"
@@ -157,7 +158,7 @@ def test_criterion_6_rank_formula(field):
             vals = [fi.evaluate(q) for fi in inp.f]
             if not any(vals):
                 continue   # base point, excluded by the criterion
-            r = tangent_rank_check(inp, q)
+            r = tangent_rank_check(inp, ProjectivePoint.create(field, q))
             failures += 0 if r.consistent else 1
             per_map += 1
             points_checked += 1
@@ -181,8 +182,8 @@ def test_criterion_7_kernel_oracles(field):
             eb.append(xb)
             budget_a -= xa * da
             budget_b -= xb * da
-        a = MvPoly.constant(field, 3, field.rand_nonzero(rng))
-        b = MvPoly.constant(field, 3, field.rand_nonzero(rng))
+        a = MvPoly.constant(field, 3, rand_nonzero(field, rng))
+        b = MvPoly.constant(field, 3, rand_nonzero(field, rng))
         for q, x, y in zip(atoms, ea, eb):
             a, b = a * q ** x, b * q ** y
         # oracle: enumerate candidate divisors, keep those dividing both
@@ -201,7 +202,7 @@ def test_criterion_7_kernel_oracles(field):
     # square-free reconstruction on explicit products
     for _ in range(200):
         atoms = _random_atoms(field, rng, rng.choice([1, 2]))
-        f = MvPoly.constant(field, 3, field.rand_nonzero(rng))
+        f = MvPoly.constant(field, 3, rand_nonzero(field, rng))
         for i, q in enumerate(atoms):
             f = f * q ** rng.randrange(1, 4)
         parts = squarefree_decompose(f)

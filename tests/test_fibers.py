@@ -1,6 +1,7 @@
 """Fiber equations, discovery, the bound chain, and the rank relation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,7 @@ from fiberbound.linalg import rank
 from fiberbound.syzygy import indeg_syzygy, monomials_of_degree
 from fiberbound.univariate import u_deg, u_factor, u_roots
 
-from conftest import random_nonzero_poly
+from conftest import rand_nonzero, random_nonzero_poly
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,20 @@ def test_projective_point_normalisation(field):
         ProjectivePoint.create(field, (0, 0, 0))
 
 
+def test_projective_point_converts_every_coordinate():
+    Q = RationalField()
+    coords = (0, Fraction(3, 2), -3, 1)
+    mixed = ProjectivePoint.create(Q, coords)
+    assert mixed == ProjectivePoint.create(Q, [Q.conv(c) for c in coords])
+    assert mixed.coords == (0, 1, -2, Fraction(2, 3))
+    assert all(type(c) is Fraction for c in mixed.coords)
+    F7 = PrimeField(7)
+    raw = ProjectivePoint.create(F7, (0, -4, 17, -1))
+    assert raw == ProjectivePoint.create(F7, (0, 3, 3, 6))
+    assert raw.coords == (0, 1, 1, 2)
+    assert raw.pivot_index() == 1
+
+
 def test_fiber_equation_family_d4(field, xyz):
     x0, x1, _ = xyz
     inp = make_family(4)
@@ -61,19 +76,31 @@ def test_fiber_equation_generic_point_trivial(example2, field):
     inp, _ = example2
     rng = random.Random(61)
     for _ in range(5):
-        y = ProjectivePoint.create(field, [field.rand_nonzero(rng)
+        y = ProjectivePoint.create(field, [rand_nonzero(field, rng)
                                            for _ in range(4)])
         assert fiber_equation(inp, y).is_constant()
+
+
+def _fiber_equation_at(inp, y, pivot):
+    """h_y from the combinations f_i - y_i f_pivot / y_pivot, for any pivot
+    with y_pivot != 0 (`fiber_equation` always takes y.pivot_index())."""
+    F = inp.field
+    if not y.coords[pivot]:
+        raise ValueError("pivot coordinate must be nonzero")
+    ell = inp.f[pivot].scale(F.inv(y.coords[pivot]))
+    combos = [fi - ell.scale(yi) for fi, yi in zip(inp.f, y.coords)]
+    return gcd_multivariate(*[c for c in combos if not c.is_zero()])
 
 
 def test_fiber_equation_pivot_independent(example2, field):
     inp, _ = example2
     y = ProjectivePoint.create(field, (1, 0, 1, 0))
-    h0 = fiber_equation(inp, y, pivot=0)
-    h2 = fiber_equation(inp, y, pivot=2)
+    h0 = _fiber_equation_at(inp, y, pivot=0)
+    h2 = _fiber_equation_at(inp, y, pivot=2)
     assert h0 == h2
     with pytest.raises(ValueError):
-        fiber_equation(inp, y, pivot=1)   # zero coordinate
+        _fiber_equation_at(inp, y, pivot=1)   # zero coordinate
+    assert fiber_equation(inp, y) == h2
 
 
 def test_discovery_rejects_the_rationals():
@@ -128,7 +155,7 @@ def test_discovered_divisors_map_to_their_point(example2, example2_discovery,
     for rec in example2_discovery.records:
         # exact contraction certificate: h_y divides f_i - y_i f_{i0}/y_{i0},
         # so the map is constantly y on Z(h_y) wherever it is defined
-        i0 = rec.y.pivot_index(field)
+        i0 = rec.y.pivot_index()
         ell = inp.f[i0].scale(field.inv(rec.y.coords[i0]))
         for fi, yi in zip(inp.f, rec.y.coords):
             combo = fi - ell.scale(yi)
@@ -178,7 +205,7 @@ def test_chain_ok_on_random_sparse_maps(m, n):
     while maps < 5:
         d = rng.randint(2, 3)
         mons = monomials_of_degree(m + 1, d)
-        forms = [MvPoly(F, m + 1, {e: F.rand_nonzero(rng)
+        forms = [MvPoly(F, m + 1, {e: rand_nonzero(F, rng)
                                    for e in rng.sample(mons, rng.randint(1, 3))})
                  for _ in range(n + 1)]
         try:
@@ -232,7 +259,7 @@ def test_tangent_rank_on_contracted_divisor(field):
     rng = random.Random(62)
     found = 0
     while found < 3:
-        t = field.rand_nonzero(rng)
+        t = rand_nonzero(field, rng)
         q = ProjectivePoint.create(field, (1, 1, t))
         vals = [fi.evaluate(list(q.coords)) for fi in inp.f]
         if not any(vals):
@@ -265,7 +292,7 @@ def test_minor_vanishing_check(field, xyz):
     assert minor_vanishing_check((x0 - x1).monic(), m3)
     assert minor_vanishing_check(MvPoly.one(field, 3), m3)
     rng = random.Random(63)
-    junk = x0 ** 2 + x1 ** 2 * 3 + x0 * x1 * field.rand_nonzero(rng)
+    junk = x0 ** 2 + x1 ** 2 * 3 + x0 * x1 * rand_nonzero(field, rng)
     assert not minor_vanishing_check(junk, m3)
 
 

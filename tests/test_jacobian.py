@@ -16,7 +16,7 @@ from fiberbound.errors import (BadInput, CommonFactor, FDoesNotDivideMinor,
                                MixedDegrees, NotHomogeneous)
 from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
 
-from conftest import random_poly
+from conftest import rand_nonzero, random_poly
 
 
 def _random_map(field, nvars, count, d, rng):
@@ -329,7 +329,7 @@ def _rank_deficient_map(F, m, rng):
     if m == 1:
         g = random_poly(F, 2, 2, rng, homogeneous_deg=2, density=1.0)
         return RationalMapInput(field=F, varnames=("X0", "X1"),
-                                f=(g, g.scale(F.rand_nonzero(rng))))
+                                f=(g, g.scale(rand_nonzero(F, rng))))
     while True:
         polys = [random_poly(F, m + 1, 2, rng, homogeneous_deg=2)
                  for _ in range(m + 2)]

@@ -10,7 +10,7 @@ from fiberbound import (ArityMismatch, MvPoly, NotDivisible, PrimeField,
 from fiberbound.poly import (KRONECKER_PAIRS, _dict_mul, _kronecker_mul,
                              _packs, grlex_key, monomials_of_degree)
 
-from conftest import random_poly
+from conftest import rand_nonzero, random_poly
 
 
 def test_difference_of_squares(field, xyz):
@@ -28,6 +28,20 @@ def test_exact_div_rejects_nonzero_remainder(field, xyz):
     x0, x1, _ = xyz
     with pytest.raises(NotDivisible):
         (x0 ** 2 + x1 ** 2).exact_div(x0 + x1)
+
+
+@pytest.mark.parametrize("F", [PrimeField(7), RationalField()],
+                         ids=["F7", "Q"])
+def test_exact_div_of_non_forms_whose_orders_disagree(F):
+    # X0 + X1^3 leads with X1^3 in grlex but with X0 in lex, the order
+    # exact_div divides in; the quotient is the same either way
+    x0, x1 = (MvPoly.variable(F, 2, j) for j in range(2))
+    a, b = x1 ** 2 + x0, x0 + x1 ** 3
+    assert b.leading_monomial() == (0, 3) and max(b.terms) == (1, 0)
+    assert (a * b).exact_div(b) == a
+    assert (a * b).exact_div(a) == b
+    with pytest.raises(NotDivisible):
+        (a * b + x1).exact_div(b)
 
 
 def test_exact_div_random_products(field):
@@ -302,7 +316,7 @@ def test_exact_div_by_a_constant_is_a_scale(F):
     rng = random.Random(78)
     for _ in range(10):
         a = random_poly(F, 3, 6, rng)
-        c = F.rand_nonzero(rng)
+        c = rand_nonzero(F, rng)
         quotient = a.exact_div(MvPoly.constant(F, 3, c))
         assert quotient == a.scale(F.inv(c))
         _assert_stored(F, quotient)

@@ -15,7 +15,7 @@ from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
 from fiberbound.poly import grlex_key
 from fiberbound.syzygy import linear_dependence_check, monomials_of_degree
 
-from conftest import independent_rank_mod_p, random_poly
+from conftest import independent_rank_mod_p, rand_nonzero, random_poly
 
 
 def _assemble_matrix_independently(inp, nu):
@@ -95,7 +95,7 @@ def test_analysis_reads_dependent_off_indeg_zero(F):
     for d in (2, 3, 3):
         f = _dense_map(F, rng, d, nforms=3).f
         cases.append((RationalMapInput.create(
-            F, [*f, f[0] + f[1].scale(F.rand_nonzero(rng))]), True))
+            F, [*f, f[0] + f[1].scale(rand_nonzero(F, rng))]), True))
     cases += [(make_example2(F), False), (make_family(4, F), False),
               (_dense_map(F, rng, 2), False)]
     for inp, dependent in cases:

@@ -10,6 +10,8 @@ from fiberbound import (MvPoly, PrimeField, RationalField,
 from fiberbound.univariate import (_distinct_degree, irreducible_quadratics,
                                    u_factor, u_mul, u_roots)
 
+from conftest import rand_nonzero
+
 
 def _with_roots(roots, lead=1) -> list:
     """Dense coefficients of lead * prod (t - r)."""
@@ -31,7 +33,7 @@ def test_roots_from_known_construction(field):
     rng = random.Random(31)
     for _ in range(15):
         wanted = sorted({field.rand(rng) for _ in range(rng.randrange(1, 7))})
-        prod = _with_roots(wanted, field.rand_nonzero(rng))
+        prod = _with_roots(wanted, rand_nonzero(field, rng))
         assert u_roots(field, prod) == wanted
 
 
@@ -73,7 +75,7 @@ def test_irreducible_quadratics_extraction(field):
     quads = irreducible_quadratics(field, t2_plus_1)
     assert quads == [[1, 0, 1]]
     # a product of two distinct irreducible quadratics splits into both
-    a = field.rand_nonzero(rng)
+    a = rand_nonzero(field, rng)
     q2 = [a * a % p + 1, (2 * a) % p, 1]   # (t + a)^2 + 1, also irreducible
     prod = [0] * 5
     for i, ci in enumerate(t2_plus_1):
