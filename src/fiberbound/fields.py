@@ -1,10 +1,11 @@
 """Coefficient fields: F_p for an odd machine-word prime, or exact rationals.
 
-Field elements are plain Python values: int residues in [0, p) over F_p, or
-Fractions over the rationals.  Code does plain `+ - *` on them and keys on
-the characteristic `char` (p, or 0 for the rationals) to reduce mod p; the
-field object only describes the field: conversion, inverses, `rand` and
-the balanced lift used for printing.
+Field elements are plain Python values: int residues in [0, p) over F_p;
+over the rationals an int when the value is integral and a Fraction
+otherwise, the form `conv` and `inv` return.  Code does plain `+ - *` on
+them and keys on the characteristic `char` (p, or 0 for the rationals) to
+reduce mod p; the field object only describes the field: conversion,
+inverses, `rand` and the balanced lift used for printing.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ class PrimeField:
 
 
 class RationalField:
-    """The rationals; elements are fractions.Fraction values."""
+    """The rationals; an element is an int when it is integral and a
+    fractions.Fraction otherwise."""
 
     __slots__ = ()
 
@@ -105,24 +107,25 @@ class RationalField:
     def char(self) -> int:
         return 0
 
-    def conv(self, n) -> Fraction:
-        return Fraction(n)
+    def conv(self, n) -> int | Fraction:
+        q = Fraction(n)
+        return q.numerator if q.denominator == 1 else q
 
-    def inv(self, a):
+    def inv(self, a) -> int | Fraction:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.conv(1 / Fraction(a))
 
     @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
     @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def rand(self, rng: random.Random) -> Fraction:
-        return Fraction(rng.randrange(-50, 51))
+    def rand(self, rng: random.Random) -> int | Fraction:
+        return self.conv(rng.randrange(-50, 51))
 
     def lift_balanced(self, a):
         return a

@@ -1,7 +1,9 @@
 """Exact dense linear algebra over the coefficient field.
 
-Entries are plain ints over F_p, reduced mod p = F.char, or Fractions over
-the rationals (p = 0); the input rows may hold unreduced ints.
+Entries are plain ints over F_p, reduced mod p = F.char; over the
+rationals (p = 0) an entry is an int or a Fraction, and `kernel_basis`
+returns each as an int when it is integral and a Fraction otherwise.  The
+input rows may hold unreduced ints.
 `rank_mod_p` eliminates forward only, on rows packed into one int each (the
 word packing of FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008); `rref` serves
 `kernel_basis` and the exact `rank`, which ranks only small scalar matrices.
@@ -117,6 +119,6 @@ def kernel_basis(F, rows: list, ncols: int) -> list:
         v = [F.zero] * ncols
         v[fcol] = F.one
         for i, pcol in enumerate(pivots):
-            v[pcol] = -red[i][fcol] % p if p else -red[i][fcol]
+            v[pcol] = -red[i][fcol] % p if p else F.conv(-red[i][fcol])
         basis.append(v)
     return basis

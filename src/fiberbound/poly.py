@@ -2,23 +2,27 @@
 
 A polynomial is a mapping from exponent tuples (one entry per variable) to
 nonzero field elements; the zero polynomial has an empty term map.  A
-coefficient is an int in [0, p) over F_p, or a Fraction over the rationals
-(p = field.char = 0).  The constructor is the one place that reduces mod p
-and drops zeros, so the operations accumulate plain, unreduced `+ - *`
-results and hand them to it.  Values are immutable after construction and
-every operation returns a new object, so polynomials can be shared freely
-between workers.
+coefficient is an int in [0, p) over F_p; over the rationals (p = field.char
+= 0) it is an int when it is integral and a Fraction otherwise.  The
+constructor is the one place that reduces mod p, puts a rational in that
+form and drops zeros, so the operations accumulate plain, unreduced
+`+ - *` results and hand them to it.  Values are immutable after
+construction and every operation returns a new object, so polynomials can
+be shared freely between workers.
 
 The canonical term order everywhere is graded lexicographic: compare total
 degree first, then the exponent tuple lexicographically.
 
-A product runs a dict loop over the term pairs, except that two forms over
-F_p with enough pairs are Kronecker-packed (von zur Gathen & Gerhard 8.4;
-Harvey 2009): X0 is dropped, the other exponents pick a slot of whole bytes
-in one int per operand, one int product forms every pair, and the product's
-slots are read back at the monomials of its degree.  A slot is wide enough
-for the sum it can receive, so no slot carries into the next, and both
-paths hand the constructor the same unreduced sums.  `unpack_slots` also
+A product runs a dict loop over the term pairs, except that two forms with
+enough pairs, over F_p or with int coefficients over Q, are
+Kronecker-packed (von zur Gathen & Gerhard 8.4; Harvey 2009): X0 is
+dropped, the other exponents pick a slot of whole bytes in one int per
+operand, one int product forms every pair, and the product's slots are read
+back at the monomials of its degree.  A slot is wide enough for the sum it
+can receive, so no slot carries into the next.  Over F_p both paths hand
+the constructor the same unreduced sums; over Q the packed product runs
+modulo an odd n above twice every coefficient's size, and lifting each slot
+into (-n/2, n/2] gives the coefficient itself.  `unpack_slots` also
 reads the packed rows of `linalg._packed_rank`.
 """
 
@@ -65,19 +69,24 @@ def unpack_slots(x: int, width: int, offsets) -> list:
 # forms in 2, 3 and 4 variables over F_(2^31-1) (CPython 3.11, shared 2-vCPU
 # x86 host, best of 15) the dict loop is faster below about 30 pairs and the
 # packed product from about 60 pairs on: 0.65-0.73x at 54-64 pairs, 0.35-0.5x
-# at 150-700, 0.11x at 55 x 190 terms.
+# at 150-700, 0.11x at 55 x 190 terms.  Integral forms over Q take the same
+# gate, not measured apart: on the maps' small coefficients their modulus
+# 2B + 1 is far below 2^31 - 1, so their slots are narrower still.
 KRONECKER_PAIRS = 64
 
 
 def _packs(a: "MvPoly", b: "MvPoly") -> bool:
-    """Is a * b Kronecker-packed?  It takes two forms over F_p with at least
-    KRONECKER_PAIRS term pairs (so at least 2 variables: a form in one is a
-    single term) and no fewer pairs than the packed product has slots:
-    sparse forms of high degree pack into mostly empty slots, and there the
-    dict loop was 3-40x faster."""
+    """Is a * b Kronecker-packed?  It takes two forms, over F_p or with only
+    int coefficients over Q, with at least KRONECKER_PAIRS term pairs (so at
+    least 2 variables: a form in one is a single term) and no fewer pairs
+    than the packed product has slots: sparse forms of high degree pack into
+    mostly empty slots, and there the dict loop was 3-40x faster."""
     pairs = len(a.terms) * len(b.terms)
-    if not a.field.char or pairs < KRONECKER_PAIRS \
+    if pairs < KRONECKER_PAIRS \
             or not (a.is_homogeneous() and b.is_homogeneous()):
+        return False
+    if not a.field.char and not all(type(c) is int for t in (a.terms, b.terms)
+                                    for c in t.values()):
         return False
     deg = a.total_degree() + b.total_degree()
     return pairs > deg * (deg + 1) ** (a.nvars - 2)
@@ -96,7 +105,7 @@ def _dict_mul(a: dict, b: dict) -> dict:
 
 
 def _kronecker_mul(p: int, a: dict, b: dict) -> dict:
-    """Unreduced terms of the product of two nonzero forms over F_p, given
+    """Unreduced terms of the product of two nonzero forms modulo p, given
     by their term maps with coefficients in [0, p), from one int product.
 
     X0 is dropped and (e_1..e_{n-1}) goes to slot sum e_j D^(j-1) with
@@ -118,6 +127,19 @@ def _kronecker_mul(p: int, a: dict, b: dict) -> dict:
         return int.from_bytes(buf, "little")
 
     return dict(zip(exps, unpack_slots(pack(a) * pack(b), width, offsets)))
+
+
+def _integer_mul(a: dict, b: dict) -> dict:
+    """Terms of the product of two nonzero forms with int coefficients, by
+    `_kronecker_mul` modulo n = 2B + 1.  B = min(#a, #b) max|a| max|b|
+    bounds every coefficient of the product, so the residue of one lifted
+    into (-n/2, n/2] = [-B, B] is the coefficient itself."""
+    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
+             * max(map(abs, b.values())))
+    n = 2 * bound + 1
+    out = _kronecker_mul(n, {e: c % n for e, c in a.items()},
+                         {e: c % n for e, c in b.items()})
+    return {e: r if (r := s % n) <= bound else r - n for e, s in out.items()}
 
 
 @lru_cache(maxsize=64)
@@ -142,7 +164,8 @@ class MvPoly:
         elif p:
             self.terms = {e: r for e, c in terms.items() if (r := c % p)}
         else:
-            self.terms = {e: c for e, c in terms.items() if c}
+            self.terms = {e: c if type(c) is int or c.denominator != 1
+                          else c.numerator for e, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------------
 
@@ -219,8 +242,15 @@ class MvPoly:
         if self.field != other.field:
             raise ValueError("operands belong to different coefficient fields")
 
+    def _is_scalar(self, other) -> bool:
+        """Is other a scalar of the field: an int, or over Q a Fraction?"""
+        return isinstance(other, int) or (isinstance(other, Fraction)
+                                          and not self.field.char)
+
     def __add__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, MvPoly):
+            if not self._is_scalar(other):
+                return NotImplemented
             other = MvPoly.constant(self.field, self.nvars, other)
         self._check(other)
         out = dict(self.terms)
@@ -236,19 +266,23 @@ class MvPoly:
         return MvPoly(self.field, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MvPoly.constant(self.field, self.nvars, other)
+        if not (isinstance(other, MvPoly) or self._is_scalar(other)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if not isinstance(other, MvPoly):
+            if not self._is_scalar(other):
+                return NotImplemented
             return self.scale(other)
         self._check(other)
         if _packs(self, other):
-            out = _kronecker_mul(self.field.char, self.terms, other.terms)
+            p = self.field.char
+            out = (_kronecker_mul(p, self.terms, other.terms) if p
+                   else _integer_mul(self.terms, other.terms))
         else:
             out = _dict_mul(self.terms, other.terms)
         return MvPoly(self.field, self.nvars, out)

@@ -3,10 +3,12 @@
 Polynomials here are plain lists of coefficients, ascending by degree, with
 no trailing zeros.  One kernel set serves both fields and is keyed on the
 characteristic p (`F.char`): over F_p the coefficients are ints reduced
-into [0, p), and over the rationals (p = 0) they are Fractions.  The
-kernels do plain int or Fraction arithmetic, never dispatching through the
-field object, and reduce mod p once per result; `u_mul` leaves its product
-unreduced, so a multiply-then-divide reduces only once.
+into [0, p), and over the rationals (p = 0) each is an int or a Fraction,
+either one whatever its value: unlike `MvPoly`, a list here may hold an
+integral Fraction.  The kernels do plain int or Fraction arithmetic, never
+dispatching through the field object, and reduce mod p once per result;
+`u_mul` leaves its product unreduced, so a multiply-then-divide reduces
+only once.
 
 Factorization over F_p follows the classical route (Cantor-Zassenhaus;
 von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14): a distinct-degree

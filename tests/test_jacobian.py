@@ -235,6 +235,24 @@ def test_euler_syzygy_dependent_cube(field):
         [1, 1, 0, -1]
 
 
+@pytest.mark.parametrize("make", [make_example2,
+                                  lambda Q: make_family(5, Q),
+                                  lambda Q: _dense_map(Q, 3, 4, 4, 23)],
+                         ids=["example2", "family_d5", "dense_d4"])
+def test_integral_rational_map_stores_int_coefficients(make):
+    # Over Q the map's coefficients are integers, and so are its Jacobian,
+    # its 3-minors and, F being monic with integer coefficients here, the
+    # Euler syzygy's a_i: each is stored as an int, never as a Fraction.
+    Q = RationalField()
+    inp = make(Q)
+    jr = jacobian_report(inp)
+    es = euler_syzygy(inp, jr)
+    polys = ([entry for row in build_jacobian(inp) for entry in row]
+             + [mn.poly for mn in jr.minors3] + list(es.a))
+    assert all(type(c) is int for f in polys for c in f.terms.values())
+    assert sum(not a.is_zero() for a in es.a) >= 3
+
+
 @pytest.mark.parametrize("make", [make_example2, lambda: make_family(4)],
                          ids=["example2", "family_d4"])
 def test_euler_syzygy_rejects_a_non_divisor(field, make):

@@ -7,8 +7,9 @@ import pytest
 
 from fiberbound import (ArityMismatch, MvPoly, NotDivisible, PrimeField,
                         RationalField)
-from fiberbound.poly import (KRONECKER_PAIRS, _dict_mul, _kronecker_mul,
-                             _packs, grlex_key, monomials_of_degree)
+from fiberbound.poly import (KRONECKER_PAIRS, _dict_mul, _integer_mul,
+                             _kronecker_mul, _packs, grlex_key,
+                             monomials_of_degree)
 
 from conftest import rand_nonzero, random_poly
 
@@ -171,7 +172,7 @@ def test_on_line_matches_pointwise_evaluation(field):
             assert direct == via_line
 
 
-# -- the coefficient invariant: ints in [0, p) over F_p, Fractions over Q ----
+# -- the coefficient invariant: [0, p) over F_p; over Q int iff integral -----
 
 F7 = PrimeField(7)
 SMALL_FIELDS = [F7, RationalField()]
@@ -232,7 +233,8 @@ def _assert_stored(F, poly):
         if F.char:
             assert isinstance(c, int) and 0 < c < F.char
         else:
-            assert isinstance(c, Fraction) and c != 0
+            assert c != 0
+            assert type(c) is (int if c.denominator == 1 else Fraction), c
 
 
 def test_constructor_reduces_and_drops_zeros():
@@ -327,6 +329,73 @@ def test_exact_div_by_a_constant_is_a_scale(F):
         MvPoly.one(F, 3).exact_div(x0)
 
 
+def test_rational_operations_store_ints_where_integral():
+    # Mixed int and Fraction coefficients, with sums and products that
+    # cancel to integers, such as (x/2) * 2 and 1/3 + 2/3.
+    Q = RationalField()
+    x0, x1 = (MvPoly.variable(Q, 2, j) for j in range(2))
+    half = x0.scale(Fraction(1, 2))
+    a = MvPoly(Q, 2, {(2, 0): Fraction(3, 2), (1, 1): 4, (0, 2): Fraction(1, 3),
+                      (1, 0): Fraction(6, 3), (0, 0): -5})
+    b = MvPoly(Q, 2, {(1, 0): Fraction(2, 3), (0, 1): 2, (0, 0): Fraction(1, 2)})
+    assert a.terms[(1, 0)] == 2 and type(a.terms[(1, 0)]) is int
+    results = {
+        "(x/2)*2": half * 2,
+        "2*(x/2)": 2 * half,
+        "(x/2)+(x/2)": half + half,
+        "(x/2)-(-x/2)": half - (-half),
+        "add": a + b,
+        "third": x1.scale(Fraction(1, 3)) + x1.scale(Fraction(2, 3)),
+        "sub": a - b,
+        "neg": -a,
+        "mul": a * b,
+        "mul_half": (x0 + half) * (x0 - half),
+        "scale": a.scale(Fraction(2, 3)),
+        "pow": b ** 3,
+        "pow_half": half ** 2,
+        "d0": a.derivative(0),
+        "d1": a.derivative(1),
+        "exact_div": (a * b).exact_div(b),
+        "exact_div_const": a.exact_div(MvPoly.constant(Q, 2, Fraction(3, 2))),
+        "monic": a.monic(),
+        "monic_b": b.monic(),
+    }
+    for name, got in results.items():
+        _assert_stored(Q, got)
+        assert got.terms, name
+    assert results["(x/2)*2"].terms == {(1, 0): 1}
+    assert results["third"].terms == {(0, 1): 1}
+    assert results["exact_div"] == a
+    assert results["d0"].terms[(1, 0)] == 3
+    kinds = {type(c) for got in results.values() for c in got.terms.values()}
+    assert kinds == {int, Fraction}
+
+
+@pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
+def test_scalar_operands(F):
+    # Over Q a Fraction is a scalar as an int is; anything else that is
+    # not an MvPoly is refused with TypeError, over either field.
+    x = MvPoly.variable(F, 2, 0)
+    one = MvPoly.one(F, 2)
+    h = Fraction(1, 2)
+    if F.char:
+        scalars = [3]
+        refused = [h, 1.5, "1", None]
+    else:
+        scalars = [3, h]
+        refused = [1.5, "1", None]
+    for c in scalars:
+        assert x * c == c * x == x.scale(F.conv(c))
+        assert x + c == c + x == x + one.scale(F.conv(c))
+        assert x - c == x + one.scale(F.conv(-c))
+        assert c - x == one.scale(F.conv(c)) - x
+    for c in refused:
+        for op in (lambda: x * c, lambda: c * x, lambda: x + c,
+                   lambda: c + x, lambda: x - c, lambda: c - x):
+            with pytest.raises(TypeError):
+                op()
+
+
 # The packed product needs only p, so F_2 (which PrimeField refuses) is
 # covered on term maps; each case is (nvars, deg a, deg b).
 PACKED_PRIMES = [2, 3, 101, 2147483647]
@@ -411,6 +480,45 @@ def test_packed_monomial_and_constant_factors(p):
             assert _packed(p, m, m) == _dict_mul(m, m)
 
 
+def _as_q(nvars, terms):
+    return MvPoly(RationalField(), nvars, terms)
+
+
+@pytest.mark.parametrize("signs", ["mixed", "negative"])
+def test_integer_packed_product_equals_the_dict_loop(signs):
+    # Compared as MvPolys: the dict loop keeps terms that cancel to 0.
+    rng = random.Random(40 if signs == "mixed" else 41)
+    packed = 0
+    for nvars, da, db in PACKED_SHAPES:
+        for top in (9, 10 ** 40):
+            def draw():
+                c = rng.randrange(1, top + 1)
+                return -c if signs == "negative" or rng.random() < 0.5 else c
+            a = {e: draw() for e in monomials_of_degree(nvars, da)}
+            b = {e: draw() for e in monomials_of_degree(nvars, db)}
+            want = _as_q(nvars, _dict_mul(a, b))
+            for x, y in ((a, b), (b, a)):
+                got = _as_q(nvars, _integer_mul(x, y))
+                assert got == want, (nvars, da, db, top)
+                _assert_stored(RationalField(), got)
+            qa, qb = _as_q(nvars, a), _as_q(nvars, b)
+            if _packs(qa, qb):
+                packed += 1
+                assert qa * qb == want
+    assert packed >= 5
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integer_packed_slots_reach_the_bound(sign):
+    # (c X1 + sign c X2)^2 with c = 10^20: B = min(2, 2) c c = 2c^2, and the
+    # middle slot receives sign 2c^2 = sign B, the edge of [-B, B].
+    c = 10 ** 20
+    a = {(0, 1, 0): c, (0, 0, 1): sign * c}
+    got = _integer_mul(a, a)
+    assert got[(0, 1, 1)] == sign * 2 * c * c
+    assert _as_q(3, got) == _as_q(3, _dict_mul(a, a))
+
+
 def test_non_forms_rationals_and_one_variable_take_the_dict_loop(monkeypatch):
     def refuse(*args):
         raise AssertionError("packed product called")
@@ -427,8 +535,17 @@ def test_non_forms_rationals_and_one_variable_take_the_dict_loop(monkeypatch):
         assert a * b == MvPoly(F, 3, _dict_mul(a.terms, b.terms))
     q_form = random_poly(Q, 3, 0, rng, homogeneous_deg=8, density=1.0)
     q_other = random_poly(Q, 3, 0, rng, homogeneous_deg=6, density=1.0)
-    assert not _packs(q_form, q_other)
-    assert q_form * q_other == MvPoly(Q, 3, _dict_mul(q_form.terms,
+    # integral forms over Q pack ...
+    assert _packs(q_form, q_other)
+    with monkeypatch.context() as unrefused:
+        unrefused.setattr("fiberbound.poly._kronecker_mul", _kronecker_mul)
+        assert q_form * q_other == MvPoly(Q, 3, _dict_mul(q_form.terms,
+                                                          q_other.terms))
+    # ... and one non-integral coefficient sends the product to the dict loop
+    q_half = q_form + MvPoly(Q, 3, {q_form.leading_monomial(): Fraction(1, 2)})
+    assert [type(c) for c in q_half.terms.values()].count(Fraction) == 1
+    assert not _packs(q_half, q_other) and not _packs(q_other, q_half)
+    assert q_half * q_other == MvPoly(Q, 3, _dict_mul(q_half.terms,
                                                       q_other.terms))
     # a form in one variable is one term, so one pair
     t = MvPoly.variable(F, 1, 0)
