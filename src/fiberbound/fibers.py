@@ -45,13 +45,12 @@ class ProjectivePoint:
 
     @classmethod
     def create(cls, field, coords) -> "ProjectivePoint":
-        p = field.char
         coords = tuple(map(field.conv, coords))
         pivot = next((c for c in coords if c), None)
         if pivot is None:
             raise ValueError("projective point needs a nonzero coordinate")
         inv = field.inv(pivot)
-        return cls(tuple(c * inv % p if p else c * inv for c in coords))
+        return cls(tuple(field.conv(c * inv) for c in coords))
 
     def pivot_index(self) -> int:
         """Index of the first nonzero coordinate, which is 1."""
@@ -103,7 +102,6 @@ class BoundChainReport:
     outer: int
     chain_ok: bool
     witness_divides: bool
-    indeg: int | None = None
     refined: int | None = None
     refined_ok: bool | None = None
 
@@ -146,10 +144,10 @@ def _lines(h: MvPoly, budget: int, seed: int):
         rng = random.Random(seed * 1_000_003 + i)
         c = rng.randrange(n)
         a = [F.rand(rng) for _ in range(n)]
-        a[c] = F.one
+        a[c] = 1
         while True:
             b = [F.rand(rng) for _ in range(n)]
-            b[c] = F.zero
+            b[c] = 0
             if any(b):
                 break
         yield a, b, h.on_line(a, b)
@@ -286,7 +284,7 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
         refined_ok = degF <= refined
     return BoundChainReport(sum_deg=sum_deg, sum_weighted=sum_weighted,
                             degF=degF, outer=outer, chain_ok=chain_ok,
-                            witness_divides=witness_ok, indeg=indeg,
+                            witness_divides=witness_ok,
                             refined=refined, refined_ok=refined_ok)
 
 

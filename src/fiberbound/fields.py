@@ -2,10 +2,11 @@
 
 Field elements are plain Python values: int residues in [0, p) over F_p;
 over the rationals an int when the value is integral and a Fraction
-otherwise, the form `conv` and `inv` return.  Code does plain `+ - *` on
-them and keys on the characteristic `char` (p, or 0 for the rationals) to
-reduce mod p; the field object only describes the field: conversion,
-inverses, `rand` and the balanced lift used for printing.
+otherwise, the form `conv` and `inv` return.  Zero and one are the plain
+ints 0 and 1 in both fields.  Code does plain `+ - *` on them and keys on
+the characteristic `char` (p, or 0 for the rationals) to reduce mod p; the
+field object only describes the field: conversion, inverses, `rand` and the
+balanced lift used for printing.
 """
 
 from __future__ import annotations
@@ -71,14 +72,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in prime field")
         return pow(a, -1, self.p)
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def rand(self, rng: random.Random) -> int:
         return rng.randrange(self.p)
 
@@ -116,16 +109,8 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return self.conv(1 / Fraction(a))
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def rand(self, rng: random.Random) -> int | Fraction:
-        return self.conv(rng.randrange(-50, 51))
+    def rand(self, rng: random.Random) -> int:
+        return rng.randrange(-50, 51)
 
     def lift_balanced(self, a):
         return a

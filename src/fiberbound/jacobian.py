@@ -166,9 +166,8 @@ def jacobian_report(inp: RationalMapInput) -> JacobianReport:
 
 @dataclass
 class EulerSyzygy:
-    """Signed maximal minors D_i with a_i = D_i / F and sum a_i f_i = 0."""
+    """a_i = D_i / F for the signed maximal minors D_i (not kept): sum a_i f_i = 0."""
 
-    D: tuple
     a: tuple
     delta: int
 
@@ -206,7 +205,7 @@ def euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
     for ai in a:
         if not ai.is_zero() and ai.total_degree() != delta:
             raise FDoesNotDivideMinor("syzygy entry has unexpected degree")
-    return EulerSyzygy(D=tuple(D), a=tuple(a), delta=delta)
+    return EulerSyzygy(a=tuple(a), delta=delta)
 
 
 def fitting_invariance_check(inp: RationalMapInput, change, F: MvPoly) -> bool:

@@ -116,8 +116,8 @@ def kernel_basis(F, rows: list, ncols: int) -> list:
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fcol in free:
-        v = [F.zero] * ncols
-        v[fcol] = F.one
+        v = [0] * ncols
+        v[fcol] = 1
         for i, pcol in enumerate(pivots):
             v[pcol] = -red[i][fcol] % p if p else F.conv(-red[i][fcol])
         basis.append(v)

@@ -175,7 +175,7 @@ class MvPoly:
 
     @classmethod
     def constant(cls, field, nvars: int, c) -> "MvPoly":
-        return cls(field, nvars, {(0,) * nvars: field.conv(c)})
+        return cls(field, nvars, {(0,) * nvars: c})
 
     @classmethod
     def one(cls, field, nvars: int) -> "MvPoly":
@@ -186,12 +186,12 @@ class MvPoly:
         if not 0 <= j < nvars:
             raise IndexError(f"variable index {j} out of range for {nvars} variables")
         e = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls(field, nvars, {e: field.one})
+        return cls(field, nvars, {e: 1})
 
     @classmethod
     def from_int_terms(cls, field, nvars: int, int_terms: dict) -> "MvPoly":
         """Build from {exponent tuple: integer coefficient}."""
-        return cls(field, nvars, {e: field.conv(c) for e, c in int_terms.items()})
+        return cls(field, nvars, int_terms)
 
     # -- predicates and degrees --------------------------------------------
 
@@ -397,14 +397,13 @@ class MvPoly:
             raise ArityMismatch(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
         u = self.on_line(point, [0] * self.nvars)
-        return u[0] if u else self.field.zero
+        return u[0] if u else 0
 
     def on_line(self, a: Sequence, b: Sequence) -> list:
         """Dense coefficients (ascending in t) of self restricted to t -> a + t*b."""
         if len(a) != self.nvars or len(b) != self.nvars:
             raise ArityMismatch("line endpoints must match the variable count")
-        F = self.field
-        p = F.char
+        p = self.field.char
         deg = max((sum(e) for e in self.terms), default=0)
         # powers[j][k] = dense coefficients of (a_j + t b_j)^k
         maxes = [0] * self.nvars
@@ -415,11 +414,11 @@ class MvPoly:
         powers = []
         for j in range(self.nvars):
             lin = [a[j], b[j]]
-            row = [[F.one]]
+            row = [[1]]
             for _ in range(maxes[j]):
                 row.append(u_reduce(u_mul(row[-1], lin), p))
             powers.append(row)
-        acc = [F.zero] * (deg + 1)
+        acc = [0] * (deg + 1)
         for e, c in self.terms.items():
             term = [c]
             for j, k in enumerate(e):
@@ -452,7 +451,7 @@ class MvPoly:
         pieces = []
         for e, c in self.sorted_terms():
             c = F.lift_balanced(c)
-            neg = (isinstance(c, (int, Fraction)) and c < 0)
+            neg = c < 0
             mag = -c if neg else c
             factors = [f"{names[j]}^{k}" if k > 1 else names[j]
                        for j, k in enumerate(e) if k]

@@ -34,12 +34,11 @@ class IndegResult:
 def _degree_matrix(inp: RationalMapInput, nu: int) -> tuple[list, list]:
     """(source monomials, rows) of (a_0..a_n) -> sum a_i f_i in degree nu;
     column i * len(source) + j holds a_i's coefficient of source[j]."""
-    F = inp.field
     source = monomials_of_degree(inp.nvars, nu)
     target = monomials_of_degree(inp.nvars, nu + inp.d)
     index = {e: i for i, e in enumerate(target)}
     ncols = len(inp.f) * len(source)
-    rows = [[F.zero] * ncols for _ in range(len(target))]
+    rows = [[0] * ncols for _ in range(len(target))]
     col = 0
     for fi in inp.f:
         for mu in source:
@@ -111,4 +110,4 @@ def linear_dependence_check(inp: RationalMapInput):
 
 def constant_relation(syzygy: tuple) -> tuple:
     """The scalars c_i of a degree-0 syzygy (c_0, ..., c_n)."""
-    return tuple(a.terms.get((0,) * a.nvars, a.field.zero) for a in syzygy)
+    return tuple(a.terms.get((0,) * a.nvars, 0) for a in syzygy)

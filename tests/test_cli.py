@@ -283,7 +283,7 @@ def test_syzygy_failed_reverification_is_typed(monkeypatch, capsys):
     from fiberbound import FiberboundError, NoSyzygyFound, SyzygyCheckFailed
 
     def not_a_kernel(F, rows, ncols):
-        return [[F.one] + [F.zero] * (ncols - 1)]
+        return [[1] + [0] * (ncols - 1)]
 
     monkeypatch.setattr(syz_mod, "kernel_basis", not_a_kernel)
     with pytest.raises(SyzygyCheckFailed) as info:
@@ -349,3 +349,53 @@ def test_cremona_map_exits_zero_without_a_refined_bound(tmp_path, capsys):
     d = json.loads(out)
     assert code == 0 and d["indegSyz"] == 1 and d["refinedBound"] is None
     assert d["chainOk"] is True and d["warnings"] == []
+
+
+def test_no_nonzero_3_minor_says_the_theorem_is_inapplicable(tmp_path, capsys):
+    # P^1 --> P^2: a 2-column Jacobian has no 3-minor, so there is no F
+    path = tmp_path / "conic.map"
+    path.write_text("vars X Y\nf0 X^2\nf1 Y^2\nf2 X*Y\n")
+    code, out, _ = run_cli(["analyze", str(path)], capsys)
+    assert code == 0
+    assert "I_3(J(f)) = 0: no nonzero 3-minor, theorem inapplicable\n" in out
+    assert "I_top nonzero: True   I_3 nonzero: False" in out
+    assert ("warning: I_3(J(f)) = 0: the degree-bound theorem does not apply"
+            in out)
+    assert "chain:" not in out
+
+
+def test_second_prime_flags_an_unlucky_prime(tmp_path, capsys):
+    # deg F = 1 over F_7 (F = X1 - X2) but 0 modulo the second prime
+    path = tmp_path / "unlucky_p7.map"
+    path.write_text("field p=7\nvars X0 X1 X2\n"
+                    "f0 -3*X0^2 - 2*X0*X1 + 2*X0*X2\n"
+                    "f1 -3*X2^2\n"
+                    "f2 -2*X1^2 - 3*X1*X2 - X2^2\n"
+                    "f3 -2*X0*X2 - 3*X1*X2 + X2^2\n")
+    code, out, _ = run_cli(["analyze", str(path), "--second-prime"], capsys)
+    assert code == 0
+    assert "deg F = 1   (outer bound 3(d-1) = 3)" in out
+    assert "second prime p = 2147483629: deg F = 0\n" in out
+    assert ("warning: unlucky prime suspected: deg F = 1 mod 7 but 0 mod "
+            "2147483629\n") in out
+    code, out, _ = run_cli(["analyze", str(path), "--second-prime", "--json"],
+                           capsys)
+    d = json.loads(out)
+    assert code == 0 and d["degF"] == 1
+    assert d["secondPrime"] == {"p": 2147483629, "degF": 0}
+    assert sum("unlucky prime suspected" in w for w in d["warnings"]) == 1
+
+
+def test_second_prime_steps_past_the_map_prime(tmp_path, capsys):
+    # over the second prime itself the check moves to the next prime below
+    text = (MAPS / "family_d4.map").read_text()
+    path = tmp_path / "family_d4_p2.map"
+    path.write_text("".join("field p=2147483629\n" if ln.startswith("field")
+                            else ln for ln in text.splitlines(True)))
+    code, out, _ = run_cli(["analyze", str(path), "--second-prime", "--json"],
+                           capsys)
+    assert code == 0
+    d = json.loads(out)
+    assert d["p"] == 2147483629
+    assert d["secondPrime"] == {"p": 2147483587, "degF": 6} and d["degF"] == 6
+    assert not any("unlucky" in w for w in d["warnings"])

@@ -50,12 +50,24 @@ def test_projective_point_converts_every_coordinate():
     mixed = ProjectivePoint.create(Q, coords)
     assert mixed == ProjectivePoint.create(Q, [Q.conv(c) for c in coords])
     assert mixed.coords == (0, 1, -2, Fraction(2, 3))
-    assert all(type(c) is Fraction for c in mixed.coords)
+    assert [type(c) for c in mixed.coords] == [int, int, int, Fraction]
     F7 = PrimeField(7)
     raw = ProjectivePoint.create(F7, (0, -4, 17, -1))
     assert raw == ProjectivePoint.create(F7, (0, 3, 3, 6))
     assert raw.coords == (0, 1, 1, 2)
     assert raw.pivot_index() == 1
+
+
+@pytest.mark.parametrize("coords", [
+    (2, 1, 4), (0, -3, 6, 9), (Fraction(1, 2), 0, Fraction(3, 4)),
+    (3, Fraction(5, 3), -7), (Fraction(-4, 9), Fraction(2, 3), 1)])
+def test_projective_point_over_q_stores_ints_where_integral(coords):
+    # Over Q a coordinate is an int exactly when it is integral, as MvPoly
+    # stores a coefficient; printing is the same either way.
+    pt = ProjectivePoint.create(RationalField(), coords)
+    assert pt.coords[pt.pivot_index()] == 1
+    for c in pt.coords:
+        assert type(c) is (int if c.denominator == 1 else Fraction), pt.coords
 
 
 def test_fiber_equation_family_d4(field, xyz):

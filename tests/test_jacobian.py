@@ -15,6 +15,7 @@ from fiberbound import (AllMinorsZero, CharDividesDegree, MvPoly, PrimeField,
 from fiberbound.errors import (BadInput, CommonFactor, FDoesNotDivideMinor,
                                MixedDegrees, NotHomogeneous)
 from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
+from fiberbound.jacobian import generic_finiteness_check
 
 from conftest import rand_nonzero, random_poly
 
@@ -228,7 +229,7 @@ def test_euler_syzygy_dependent_cube(field):
     es = euler_syzygy(inp, jacobian_report(inp))
     assert es.delta == 0
     # constant syzygy proportional to (1, 1, 0, -1)
-    vals = [a.leading_coefficient() if not a.is_zero() else field.zero
+    vals = [a.leading_coefficient() if not a.is_zero() else 0
             for a in es.a]
     scale = field.inv(vals[0])
     assert [field.lift_balanced(v * scale) for v in vals] == \
@@ -332,6 +333,18 @@ def test_generic_finiteness_exact_fallback_on_top_minors(field):
     x0, x1, x2 = (MvPoly.variable(field, 4, j) for j in range(3))
     inp = RationalMapInput.create(
         field, [x0 ** 2, x1 ** 2, x2 ** 2, x0 * x1, x1 * x2])
+    jr = jacobian_report(inp)
+    assert (jr.i_top_nonzero, jr.i3_nonzero) == (False, True)
+
+
+@pytest.mark.parametrize("F", [PrimeField(), RationalField()],
+                         ids=["Fp", "Q"])
+def test_generic_finiteness_false_when_source_exceeds_target(F):
+    # P^3 --> P^2: J has 3 rows, so it has no (m+1) = 4-minor at all.
+    x, y, z, w = (MvPoly.variable(F, 4, j) for j in range(4))
+    inp = RationalMapInput.create(F, [x ** 2, y ** 2, z ** 2 + w ** 2])
+    jac = build_jacobian(inp)
+    assert generic_finiteness_check(inp, jac, minors(jac, 3)) is False
     jr = jacobian_report(inp)
     assert (jr.i_top_nonzero, jr.i3_nonzero) == (False, True)
 

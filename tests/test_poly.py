@@ -166,7 +166,7 @@ def test_on_line_matches_pointwise_evaluation(field):
         for t in (0, 1, field.rand(rng)):
             x = [(ai + t * bi) % field.p for ai, bi in zip(a, b)]
             direct = p.evaluate(x)
-            via_line = field.zero
+            via_line = 0
             for k in reversed(range(len(coeffs))):
                 via_line = (via_line * t + coeffs[k]) % field.p
             assert direct == via_line
@@ -187,19 +187,19 @@ def _ref_terms(F, pairs):
     """Sum (exponent, coefficient) pairs one at a time, reducing each step."""
     out = {}
     for e, c in pairs:
-        out[e] = _red(F, out.get(e, F.zero) + _red(F, c))
+        out[e] = _red(F, out.get(e, 0) + _red(F, c))
     return {e: c for e, c in out.items() if c}
 
 
 def _ref_power(F, x, k):
-    v = F.one
+    v = 1
     for _ in range(k):
         v = _red(F, v * x)
     return v
 
 
 def _ref_evaluate(F, terms, x):
-    acc = F.zero
+    acc = 0
     for e, c in terms.items():
         v = c
         for j, k in enumerate(e):
@@ -215,14 +215,14 @@ def _ref_on_line(F, terms, a, b):
         poly = [c]
         for j, k in enumerate(e):
             for _ in range(k):
-                nxt = [F.zero] * (len(poly) + 1)
+                nxt = [0] * (len(poly) + 1)
                 for i, v in enumerate(poly):
                     nxt[i] = _red(F, nxt[i] + v * a[j])
                     nxt[i + 1] = _red(F, nxt[i + 1] + v * b[j])
                 poly = nxt
         for i, v in enumerate(poly):
-            acc[i] = _red(F, acc.get(i, F.zero) + v)
-    coeffs = [acc.get(i, F.zero) for i in range(max(acc, default=-1) + 1)]
+            acc[i] = _red(F, acc.get(i, 0) + v)
+    coeffs = [acc.get(i, 0) for i in range(max(acc, default=-1) + 1)]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return coeffs
@@ -305,7 +305,7 @@ def test_evaluate_edge_cases_match_reference(F):
             assert a.evaluate(x) == _ref_evaluate(F, a.terms, x)
     for value in (MvPoly.zero(F, 2).evaluate(points[0]),
                   (x0 - x1).evaluate(root)):
-        assert value == 0 and type(value) is type(F.zero)
+        assert value == 0 and type(value) is int
     if F.char:
         assert all(0 <= (x0 * x1 - 1).evaluate(x) < F.char for x in points)
     with pytest.raises(ArityMismatch) as exc:
