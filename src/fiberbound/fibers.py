@@ -23,7 +23,7 @@ coverage numbers in the result quantify anything left unexplained.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import (AllCombinationsZero, BasePointError, CharDividesDegree,
                      RationalModeUnsupported)
@@ -75,7 +75,7 @@ class FiberRecord:
         """The record of y: h_y, its square-free parts and their degrees
         (deg_h 0 and no parts when y has no divisorial fiber)."""
         h = fiber_equation(inp, y)
-        sq = [] if h.is_constant() else squarefree_decompose(h)
+        sq = squarefree_decompose(h)
         return cls(y=y, h=h, sqfree=sq, deg_h=h.total_degree(),
                    weighted_deg=sum((2 * e - 1) * p.total_degree()
                                     for p, e in sq))
@@ -83,15 +83,18 @@ class FiberRecord:
 
 @dataclass
 class DiscoveryResult:
-    records: list
-    squarefree_f_degree: int
-    covered_degree: int   # sum of deg(squarefree(h_y)) over the records
-    base_locus_skips: int
-    nonrational_skips: int
-    degenerate_lines: int
-    lines: int            # lines walked, at most budget
+    """What `discover_fibers` found: the records, sorted by point, and the
+    counts of the walk (no records and all counts 0 when F is constant)."""
+
     budget: int
-    decisive: bool        # discovery stopped on a decisive line
+    records: list = dataclass_field(default_factory=list)
+    squarefree_f_degree: int = 0
+    covered_degree: int = 0   # sum of deg(squarefree(h_y)) over the records
+    base_locus_skips: int = 0
+    nonrational_skips: int = 0
+    degenerate_lines: int = 0
+    lines: int = 0            # lines walked, at most budget
+    decisive: bool = False    # discovery stopped on a decisive line
 
 
 @dataclass
@@ -123,12 +126,8 @@ def fiber_equation(inp: RationalMapInput, y: ProjectivePoint) -> MvPoly:
     if len(y.coords) != inp.n + 1:
         raise ValueError(f"point must have {inp.n + 1} coordinates")
     ell = inp.f[y.pivot_index()]
-    combos = []
-    for fi, yi in zip(inp.f, y.coords):
-        li = fi - ell.scale(yi)
-        if not li.is_zero():
-            combos.append(li)
-    if not combos:
+    combos = [fi - ell.scale(yi) for fi, yi in zip(inp.f, y.coords)]
+    if all(li.is_zero() for li in combos):
         raise AllCombinationsZero("every combination l_i(f) vanishes identically")
     return gcd_multivariate(*combos)
 
@@ -161,19 +160,18 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
     On each line L, the restriction u = sf|_L is factored completely; every
     distinct irreducible factor is a closed point of Z(sf) on L, and the
     point at infinity b (b[c] = 0 in the line's chart) is one more when deg
-    u < deg sf.  Each point off the base locus is pushed through the map; a
-    rational image y is handed to `consider`, which computes its fiber
-    equation once.  L is decisive when none of these points is a base
-    point.
+    u < deg sf.  Each point off the base locus is pushed through the map,
+    and a rational image y gets its fiber equation once per target point.
+    L is decisive when none of these points is a base point.
 
     One decisive line finds every record.  A divisor C contracted to a
     rational y lies in Z(F), so it is a union of components of Z(sf) and
     meets L in some closed point x of Z(sf), off the base locus.  The map is
     constantly y on C wherever it is defined, so the image of x is y and
-    `consider(y)` finds y's record.  This needs no simple intersection: if
-    L is tangent to Z(sf) at x, or x is a singular point of Z(sf), x is a
-    repeated factor of u (or b has multiplicity deg sf - deg u > 1), and it
-    is still listed once.  Discovery therefore stops after the first
+    y's fiber equation gives its record.  This needs no simple
+    intersection: if L is tangent to Z(sf) at x, or x is a singular point
+    of Z(sf), x is a repeated factor of u (or b has multiplicity deg sf -
+    deg u > 1), and it is still listed once.  Discovery therefore stops after the first
     decisive line, or as soon as the records cover all of sf; `budget` caps
     the lines walked when neither happens.
     """
@@ -183,39 +181,16 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
         raise RationalModeUnsupported("fiber discovery needs a prime field")
     if F.is_zero():
         raise ValueError("F must be nonzero")
+    res = DiscoveryResult(budget=budget)
     if F.is_constant():
-        return DiscoveryResult(records=[], squarefree_f_degree=0, covered_degree=0,
-                               base_locus_skips=0, nonrational_skips=0,
-                               degenerate_lines=0, lines=0, budget=budget,
-                               decisive=False)
+        return res
     sf = squarefree_part(F)
-    deg_sf = sf.total_degree()
-    seen: dict = {}
-    records: list = []
-    covered = 0
-    base_skips = 0
-    nonrational = 0
-    degenerate = 0
-    lines = 0
-    decisive = False
-
-    def consider(y_coords) -> None:
-        nonlocal covered
-        pt = ProjectivePoint.create(Fld, y_coords)
-        if pt.coords in seen:
-            return
-        rec = FiberRecord.at(inp, pt)
-        if not rec.deg_h:
-            seen[pt.coords] = None
-            return
-        seen[pt.coords] = rec
-        records.append(rec)
-        covered += sum(p.total_degree() for p, _ in rec.sqfree)
-
+    deg_sf = res.squarefree_f_degree = sf.total_degree()
+    seen: set = set()
     for a, b, u in _lines(sf, budget, seed):
-        lines += 1
+        res.lines += 1
         if not u:
-            degenerate += 1
+            res.degenerate_lines += 1
             continue
         f_on_line = [fi.on_line(a, b) for fi in inp.f]
         # Each closed point's image as residues of the f_i|L: modulo an
@@ -225,34 +200,33 @@ def discover_fibers(inp: RationalMapInput, F: MvPoly, budget: int = 200,
                   for q in u_factor(Fld, u)]
         if u_deg(u) < deg_sf:
             points.append([fl[inp.d:] for fl in f_on_line])
-        decisive = True
+        res.decisive = True
         for residues in points:
             # The residues have degree below deg q (constants at infinity),
             # so the image is rational iff each is an F_p-multiple y_i of
             # the pivot residue.
             pivot = next((r for r in residues if r), None)
             if pivot is None:
-                base_skips += 1
-                decisive = False
+                res.base_locus_skips += 1
+                res.decisive = False
                 continue
             inv = Fld.inv(pivot[-1])
-            ys = [r[-1] * inv % p if r else 0 for r in residues]
-            if any(u_sub(r, [y * c for c in pivot], p)
-                   for r, y in zip(residues, ys)):
-                nonrational += 1
-            else:
-                consider(ys)
-        if decisive or covered == deg_sf:
+            # Normalised already: 0 before the pivot, 1 at it, reduced mod p.
+            y = tuple(r[-1] * inv % p if r else 0 for r in residues)
+            if any(u_sub(r, [yi * c for c in pivot], p)
+                   for r, yi in zip(residues, y)):
+                res.nonrational_skips += 1
+            elif y not in seen:
+                seen.add(y)
+                rec = FiberRecord.at(inp, ProjectivePoint(y))
+                if rec.deg_h:
+                    res.records.append(rec)
+                    res.covered_degree += sum(q.total_degree()
+                                              for q, _ in rec.sqfree)
+        if res.decisive or res.covered_degree == deg_sf:
             break
-
-    records.sort(key=lambda r: r.y.coords)
-    return DiscoveryResult(records=records,
-                           squarefree_f_degree=deg_sf,
-                           covered_degree=covered,
-                           base_locus_skips=base_skips,
-                           nonrational_skips=nonrational,
-                           degenerate_lines=degenerate,
-                           lines=lines, budget=budget, decisive=decisive)
+    res.records.sort(key=lambda r: r.y.coords)
+    return res
 
 
 def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
@@ -275,7 +249,6 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
     for r in fibers:
         for p, e in r.sqfree:
             witness = witness * p ** (2 * e - 1)
-    witness_ok = witness.is_constant() or witness.divides(F)
     chain_ok = sum_deg <= sum_weighted <= degF <= outer
     refined = None
     refined_ok = None
@@ -284,7 +257,7 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
         refined_ok = degF <= refined
     return BoundChainReport(sum_deg=sum_deg, sum_weighted=sum_weighted,
                             degF=degF, outer=outer, chain_ok=chain_ok,
-                            witness_divides=witness_ok,
+                            witness_divides=witness.divides(F),
                             refined=refined, refined_ok=refined_ok)
 
 

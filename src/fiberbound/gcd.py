@@ -103,7 +103,7 @@ def _gcd_core(a: MvPoly, b: MvPoly) -> MvPoly:
     v = min(common, key=lambda j: min(a.degree_in(j), b.degree_in(j)))
     ca, pa = _content_and_primitive(a, v)
     cb, pb = _content_and_primitive(b, v)
-    cg = one if (ca.is_constant() or cb.is_constant()) else _gcd(ca, cb)
+    cg = _gcd(ca, cb)
 
     f, g = (pa, pb) if pa.degree_in(v) >= pb.degree_in(v) else (pb, pa)
     while True:
@@ -119,7 +119,7 @@ def _gcd_core(a: MvPoly, b: MvPoly) -> MvPoly:
             # in a remainder can be dropped.
             r = r.shift([-k for k in mr])
         f, g = g, r
-    return cg * g if not cg.is_constant() else g
+    return cg * g
 
 
 def _coeffs_in(a: MvPoly, v: int) -> dict:
@@ -132,25 +132,14 @@ def _coeffs_in(a: MvPoly, v: int) -> dict:
     return {k: MvPoly(a.field, a.nvars, t) for k, t in buckets.items()}
 
 
-def _lead_coeff_in(a: MvPoly, v: int) -> MvPoly:
-    d = a.degree_in(v)
-    t = {e[:v] + (0,) + e[v + 1:]: c for e, c in a.terms.items() if e[v] == d}
-    return MvPoly(a.field, a.nvars, t)
-
-
-def _content(coeffs: dict) -> MvPoly:
-    """Monic gcd of the coefficients from `_coeffs_in`; 1 when it is constant."""
+def _content_and_primitive(a: MvPoly, v: int) -> tuple[MvPoly, MvPoly]:
+    """Content and primitive part of a in v, both monic; the content is 1
+    when it is constant."""
+    coeffs = _coeffs_in(a, v)
     c = _gcd_of([cf for _, cf in sorted(coeffs.items())])
     if c.is_constant():
-        return MvPoly.one(c.field, c.nvars)
-    return c.monic()
-
-
-def _content_and_primitive(a: MvPoly, v: int) -> tuple[MvPoly, MvPoly]:
-    coeffs = _coeffs_in(a, v)
-    c = _content(coeffs)
-    if c.is_constant():
-        return c, a.monic()
+        return MvPoly.one(a.field, a.nvars), a.monic()
+    c = c.monic()
     terms: dict = {}
     for k, cf in coeffs.items():
         q = cf.exact_div(c)
@@ -167,13 +156,13 @@ def _prem(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
     classical prem is irrelevant here.
     """
     dg = g.degree_in(v)
-    lg = _lead_coeff_in(g, v)
+    lg = _coeffs_in(g, v)[dg]
     r = f
     while not r.is_zero():
         dr = r.degree_in(v)
         if dr < dg:
             break
-        lr = _lead_coeff_in(r, v)
+        lr = _coeffs_in(r, v)[dr]
         exps = [0] * f.nvars
         exps[v] = dr - dg
         r = lg * r - (lr * g).shift(exps)
@@ -338,8 +327,7 @@ def squarefree_decompose(a: MvPoly) -> list[tuple[MvPoly, int]]:
         part = w.exact_div(w_next).monic()
         if part.total_degree() > 0:
             parts.append((part, e))
-        if not w_next.is_constant():
-            c = c.exact_div(w_next)
+        c = c.exact_div(w_next)
         w = w_next
         e += 1
     if c.is_constant():

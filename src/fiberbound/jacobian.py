@@ -189,9 +189,6 @@ def euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
          for i in range(4)]
     a = []
     for di in D:
-        if di.is_zero():
-            a.append(MvPoly.zero(inp.field, inp.nvars))
-            continue
         try:
             a.append(di.exact_div(F))
         except NotDivisible as exc:

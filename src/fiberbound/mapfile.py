@@ -11,9 +11,9 @@ Format::
 
 Polynomial expressions use +, -, *, ^, integer literals, the declared
 variable names, and parentheses.  Multiplication is always explicit.  The
-labels f0..fn must form a complete range.  Parsing validates the map:
-homogeneous forms of one common degree d, gcd(f_0,...,f_n) = 1, and p not
-dividing d.
+labels f0..fn must form a complete range, and no label, `field` or `vars`
+line may repeat.  Parsing validates the map: homogeneous forms of one
+common degree d, gcd(f_0,...,f_n) = 1, and p not dividing d.
 """
 
 from __future__ import annotations
@@ -173,6 +173,8 @@ def parse_map_file(text: str) -> RationalMapInput:
         rest = parts[1] if len(parts) > 1 else ""
         rest_col = indent + len(head) + 2 if len(parts) > 1 else indent + len(head) + 1
         if head == "field":
+            if field is not None:
+                raise ParseError("second 'field' line", lineno)
             key, eq, modulus = (part.strip() for part in rest.partition("="))
             if rest == "rational":
                 field = RationalField()
@@ -192,6 +194,8 @@ def parse_map_file(text: str) -> RationalMapInput:
                 raise ParseError("field spec must be 'p=<prime>' or 'rational'",
                                  lineno)
         elif head == "vars":
+            if varnames is not None:
+                raise ParseError("second 'vars' line", lineno)
             varnames = tuple(rest.split())
             if not varnames:
                 raise ParseError("vars line declares no variables", lineno)

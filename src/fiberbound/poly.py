@@ -342,8 +342,6 @@ class MvPoly:
         if b.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         F = self.field
-        if self.is_zero():
-            return self
         p = F.char
         lb = max(b.terms)
         inv = F.inv(b.terms[lb])

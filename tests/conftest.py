@@ -1,6 +1,7 @@
 import pytest
 
-from fiberbound import MvPoly, PrimeField
+from fiberbound import MvPoly, PrimeField, RationalMapInput
+from fiberbound.linalg import rank
 from fiberbound.syzygy import monomials_of_degree
 
 
@@ -75,3 +76,38 @@ def independent_rank_mod_p(p, rows):
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def _random_gl(field, size, rng):
+    while True:
+        A = [[field.rand(rng) for _ in range(size)] for _ in range(size)]
+        if rank(field, A) == size:
+            return A
+
+
+def _source_change(inp, A):
+    """The forms f(A X)."""
+    field, nv = inp.field, inp.nvars
+    X = [MvPoly.variable(field, nv, j) for j in range(nv)]
+    AX = [sum((X[j].scale(c) for j, c in enumerate(row)), MvPoly.zero(field, nv))
+          for row in A]
+    subst = []
+    for f in inp.f:
+        acc = MvPoly.zero(field, nv)
+        for e, c in f.terms.items():
+            t = MvPoly.constant(field, nv, c)
+            for j, k in enumerate(e):
+                if k:
+                    t = t * AX[j] ** k
+            acc = acc + t
+        subst.append(acc)
+    return subst
+
+
+def _gl_copy(inp, rng):
+    """g = B f(A X): the same fibers in random coordinates on both sides."""
+    field, nv = inp.field, inp.nvars
+    subst = _source_change(inp, _random_gl(field, nv, rng))
+    g = [sum((fj.scale(c) for fj, c in zip(subst, row)), MvPoly.zero(field, nv))
+         for row in _random_gl(field, len(inp.f), rng)]
+    return RationalMapInput.create(field, g)

@@ -15,11 +15,11 @@ from fiberbound.errors import CommonFactor, RationalModeUnsupported
 from fiberbound.fields import PrimeField, RationalField
 from fiberbound.fibers import _lines
 from fiberbound.fixtures import FIXTURES, make_example2, make_family
-from fiberbound.linalg import rank
 from fiberbound.syzygy import indeg_syzygy, monomials_of_degree
 from fiberbound.univariate import u_deg, u_factor, u_roots
 
-from conftest import rand_nonzero, random_nonzero_poly
+from conftest import (_gl_copy, _source_change, rand_nonzero,
+                      random_nonzero_poly)
 
 
 @pytest.fixture(scope="module")
@@ -341,41 +341,6 @@ COVERED = {"family_d4": 6, "family_d5": 6, "family_d6": 6, "family_d7": 6,
            "example2": 7, "cube_dependent": 0}
 
 
-def _random_gl(field, size, rng):
-    while True:
-        A = [[field.rand(rng) for _ in range(size)] for _ in range(size)]
-        if rank(field, A) == size:
-            return A
-
-
-def _source_change(inp, A):
-    """The forms f(A X)."""
-    field, nv = inp.field, inp.nvars
-    X = [MvPoly.variable(field, nv, j) for j in range(nv)]
-    AX = [sum((X[j].scale(c) for j, c in enumerate(row)), MvPoly.zero(field, nv))
-          for row in A]
-    subst = []
-    for f in inp.f:
-        acc = MvPoly.zero(field, nv)
-        for e, c in f.terms.items():
-            t = MvPoly.constant(field, nv, c)
-            for j, k in enumerate(e):
-                if k:
-                    t = t * AX[j] ** k
-            acc = acc + t
-        subst.append(acc)
-    return subst
-
-
-def _gl_copy(inp, rng):
-    """g = B f(A X): the same fibers in random coordinates on both sides."""
-    field, nv = inp.field, inp.nvars
-    subst = _source_change(inp, _random_gl(field, nv, rng))
-    g = [sum((fj.scale(c) for fj, c in zip(subst, row)), MvPoly.zero(field, nv))
-         for row in _random_gl(field, len(inp.f), rng)]
-    return RationalMapInput.create(field, g)
-
-
 @pytest.fixture(scope="module", params=["fixture", "gl_copy"])
 def pinned_maps(request):
     maps = []
@@ -460,6 +425,43 @@ def test_discovery_pushes_only_points_of_z_sf(d, monkeypatch):
     disc = discover_fibers(inp, F, seed=1)
     assert disc.covered_degree == disc.squarefree_f_degree
     assert degrees and all(degrees)
+
+
+@pytest.mark.parametrize("seed", [1, 42])
+def test_discovery_computes_one_fiber_equation_per_target_point(seed,
+                                                                monkeypatch):
+    # Discovery hands FiberRecord.at a normalised point, and never the same
+    # point twice, however many closed points on its lines map there.
+    real = FiberRecord.at
+    points = []
+
+    def at(inp, y):
+        points.append(y)
+        return real(inp, y)
+
+    monkeypatch.setattr(FiberRecord, "at", at)
+    for fx in FIXTURES:
+        inp = fx.build()
+        points.clear()
+        discover_fibers(inp, gcd_of_minors(minors(build_jacobian(inp), 3)),
+                        seed=seed)
+        coords = [y.coords for y in points]
+        assert len(set(coords)) == len(coords), fx.name
+        assert all(y == ProjectivePoint.create(inp.field, y.coords)
+                   for y in points), fx.name
+
+
+def test_discovery_with_constant_F_walks_no_line(example2):
+    inp, _ = example2
+    disc = discover_fibers(inp, MvPoly.one(inp.field, inp.nvars), budget=7,
+                           seed=3)
+    assert (disc.budget, disc.lines, disc.decisive, disc.records) == \
+        (7, 0, False, [])
+    assert (disc.squarefree_f_degree, disc.covered_degree,
+            disc.base_locus_skips, disc.nonrational_skips,
+            disc.degenerate_lines) == (0, 0, 0, 0, 0)
+    with pytest.raises(ValueError):
+        discover_fibers(inp, MvPoly.zero(inp.field, inp.nvars))
 
 
 def test_a_line_through_a_base_point_is_not_decisive():

@@ -229,3 +229,39 @@ def test_vars_are_names_an_expression_can_reference(names, bad, col):
     assert str(exc.value) == f"invalid variable name {bad!r} at line 2, col {col}"
     inp = parse_map_file("vars x_0 Y1 _z\nf0 x_0^2\nf1 Y1^2\nf2 _z^2\n")
     assert inp.varnames == ("x_0", "Y1", "_z")
+
+
+@pytest.mark.parametrize("text,message,line,col", [
+    ("vars X0 X1\nf0 X0 X1\nf1 X1^2\n", "unexpected trailing input", 2, 7),
+    ("vars X0 X1\nf0 X0^X1\nf1 X1^2\n",
+     "exponent must be an integer literal", 2, 7),
+    ("vars X0 X1\nf0 (X0 + X1\nf1 X1^2\n", "expected ')'", 2, 12),
+    ("field q=7\nvars X0 X1\nf0 X0^2\nf1 X1^2\n",
+     "field spec must be 'p=<prime>' or 'rational'", 1, None),
+    ("vars\nf0 X0^2\n", "vars line declares no variables", 1, None),
+    ("vars X X\nf0 X^2\n", "duplicate variable name", 1, None),
+    ("vars X0 X1\nf0 X0^2\nf0 X1^2\n", "duplicate label f0", 3, None),
+    ("f0 X0^2\nf1 X1^2\n", "missing 'vars' line", None, None),
+    ("vars X0 X1\n", "no polynomial lines f0..fn", None, None),
+])
+def test_parse_error_names_the_fault_and_its_place(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_map_file(text)
+    assert (str(exc.value).split(" at line")[0], exc.value.line,
+            exc.value.col) == (message, line, col)
+
+
+@pytest.mark.parametrize("text,head,line", [
+    # a later directive would otherwise replace the first one silently
+    ("field p=7\nvars X Y Z\nfield rational\nvars A B C\n"
+     "f0 A^2\nf1 B^2\nf2 C^2\nf3 A*B\n", "field", 3),
+    ("vars X Y Z\nvars A B C\nf0 A^2\nf1 B^2\nf2 C^2\n", "vars", 2),
+    # even when it repeats the same value
+    ("field p=7\nvars X Y\nfield p=7\nf0 X^2\nf1 Y^2\n", "field", 3),
+    ("vars X Y\nf0 X^2\nvars X Y\nf1 Y^2\n", "vars", 3),
+])
+def test_a_directive_may_appear_once(text, head, line):
+    with pytest.raises(ParseError) as exc:
+        parse_map_file(text)
+    assert str(exc.value) == f"second '{head}' line at line {line}"
+    assert exc.value.line == line
