@@ -14,13 +14,11 @@ from .errors import (CharDividesDegree, FDoesNotDivideMinor,
                      RationalModeUnsupported)
 from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      discover_fibers, verify_bound_chain)
-from .fields import SECOND_PRIME, PrimeField, is_prime
 from .jacobian import (EulerSyzygy, JacobianReport, RationalMapInput,
                        euler_syzygy, jacobian_report)
 from .syzygy import IndegResult, constant_relation, indeg_syzygy
 # Kept bound here: bench/trace_layers.py wraps analysis.linear_dependence_check.
 from .syzygy import linear_dependence_check  # noqa: F401
-from .poly import MvPoly
 
 
 def json_scalars(F, values) -> list:
@@ -52,7 +50,6 @@ class AnalysisReport:
     warnings: list
     seed: int
     budget: int
-    second_prime: tuple | None   # (p2, degF mod p2) when requested
 
     @property
     def chain_ok(self) -> bool:
@@ -86,7 +83,6 @@ class AnalysisReport:
                              "aDegrees": [a.total_degree() for a in self.euler.a]}
                             if self.euler is not None else None),
             "indegSyz": self.indeg.indeg,
-            "indegSearchedUpTo": self.indeg.indeg,
             "seed": self.seed,
             "budget": self.budget,
             "warnings": list(self.warnings),
@@ -113,11 +109,6 @@ class AnalysisReport:
         else:
             d["coverage"] = None
         d["fibers"] = fibers
-        if self.second_prime is not None:
-            d["secondPrime"] = {"p": self.second_prime[0],
-                                "degF": self.second_prime[1]}
-        else:
-            d["secondPrime"] = None
         return d
 
     def to_json(self) -> str:
@@ -164,33 +155,13 @@ class AnalysisReport:
                 out.append(f"refined: {ch.sum_deg} <= {ch.degF} <= {ch.refined} "
                            f"<= {ch.outer}   (deg F <= 3(d-1) - indeg(Syz))  "
                            f"ok={ch.refined_ok}")
-        if self.second_prime is not None:
-            out.append(f"second prime p = {self.second_prime[0]}: "
-                       f"deg F = {self.second_prime[1]}")
         for w in self.warnings:
             out.append(f"warning: {w}")
         return "\n".join(out) + "\n"
 
 
-def _reduce_mod_second_prime(inp: RationalMapInput, p2: int) -> RationalMapInput:
-    """Lift coefficients to balanced integers and reduce modulo p2."""
-    F2 = PrimeField(p2)
-    polys = []
-    for fi in inp.f:
-        ints = {e: inp.field.lift_balanced(c) for e, c in fi.terms.items()}
-        polys.append(MvPoly.from_int_terms(F2, inp.nvars, ints))
-    return RationalMapInput(field=F2, varnames=inp.varnames, f=tuple(polys))
-
-
-def choose_second_prime(inp: RationalMapInput) -> int:
-    p2 = SECOND_PRIME
-    while p2 == inp.field.char or inp.d % p2 == 0 or not is_prime(p2):
-        p2 -= 2
-    return p2
-
-
-def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
-                 second_prime: bool = False) -> AnalysisReport:
+def run_analysis(inp: RationalMapInput, seed: int = 42,
+                 budget: int = 200) -> AnalysisReport:
     warnings: list[str] = []
     jr = jacobian_report(inp)
     indeg = indeg_syzygy(inp)
@@ -237,16 +208,7 @@ def run_analysis(inp: RationalMapInput, seed: int = 42, budget: int = 200,
                     points = "point" if skips == 1 else "points"
                     warnings.append(f"skipped {skips} closed {points} {where}")
 
-    second = None
-    if second_prime and inp.field.char:
-        p2 = choose_second_prime(inp)
-        jr2 = jacobian_report(_reduce_mod_second_prime(inp, p2))
-        second = (p2, jr2.degF)
-        if jr2.degF != jr.degF:
-            warnings.append(f"unlucky prime suspected: deg F = {jr.degF} mod "
-                            f"{inp.field.char} but {jr2.degF} mod {p2}")
-
     return AnalysisReport(inp=inp, jacobian=jr, dependent=dependent,
                           relation=relation, euler=euler, indeg=indeg,
                           discovery=discovery, chain=chain, warnings=warnings,
-                          seed=seed, budget=budget, second_prime=second)
+                          seed=seed, budget=budget)

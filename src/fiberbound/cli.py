@@ -49,7 +49,7 @@ def _parse_point(text: str, field, expected_len: int) -> ProjectivePoint:
 
 def cmd_analyze(args) -> int:
     inp = _load(args.file)
-    report = run_analysis(inp, seed=args.seed, second_prime=args.second_prime)
+    report = run_analysis(inp, seed=args.seed)
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return report.exit_code()
 
@@ -86,7 +86,8 @@ def cmd_syzygy(args) -> int:
     else:
         for nu, dim in enumerate(dims):
             print(f"degree {nu}: kernel dimension {dim}")
-        print(f"indeg(Syz) = {indeg}")
+        print(f"indeg(Syz) = {indeg}" if indeg is not None
+              else f"indeg(Syz) > {cap} (searched up to degree {cap})")
     return EXIT_OK
 
 
@@ -181,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("file")
     pa.add_argument("--seed", type=int, default=42)
     pa.add_argument("--json", action="store_true")
-    pa.add_argument("--second-prime", action="store_true",
-                    help="recompute deg F modulo a second prime")
     pa.set_defaults(func=cmd_analyze)
 
     pf = sub.add_parser("fiber", help="fiber equation at a target point")

@@ -15,7 +15,6 @@ from fractions import Fraction
 import random
 
 DEFAULT_PRIME = 2147483647
-SECOND_PRIME = 2147483629
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13, the least strong pseudoprime to all thirteen bases above.

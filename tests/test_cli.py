@@ -96,6 +96,14 @@ def test_syzygy_command(capsys):
     assert "indeg(Syz) = 2" in out
 
 
+def test_syzygy_capped_below_indeg_states_the_search(capsys):
+    # example2 has indeg(Syz) = 2, so a cap of 1 finds no syzygy
+    code, out, _ = run_cli(["syzygy", str(MAPS / "example2.map"),
+                            "--max-degree", "1"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == "indeg(Syz) > 1 (searched up to degree 1)"
+
+
 def test_rank_check_command(capsys):
     code, out, _ = run_cli(["rank-check", str(MAPS / "example2.map"),
                             "--point", "1,2,3"], capsys)
@@ -148,16 +156,6 @@ def test_selftest_detects_corrupted_fixture():
     assert "FAIL" in text and "degF" in text
 
 
-def test_second_prime_never_changes_degF_on_fixtures(capsys):
-    for name in ("example2.map", "family_d5.map", "cube_dependent.map"):
-        code, out, _ = run_cli(["analyze", str(MAPS / name),
-                                "--second-prime", "--json"], capsys)
-        assert code == 0
-        d = json.loads(out)
-        assert d["secondPrime"]["degF"] == d["degF"], name
-        assert not any("unlucky" in w for w in d["warnings"]), name
-
-
 def test_dependent_fixture_warning(capsys):
     code, out, _ = run_cli(["analyze", str(MAPS / "cube_dependent.map")],
                            capsys)
@@ -196,7 +194,8 @@ def test_fiber_json_over_rationals(tmp_path, capsys):
                                   "superscript", "long-literal", "nesting",
                                   "long-modulus", "signed-modulus",
                                   "all-zero", "no-file", "seed-not-int",
-                                  "unknown-flag", "no-point", "no-command"])
+                                  "unknown-flag", "removed-flag", "no-point",
+                                  "no-command"])
 def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
     latin1 = tmp_path / "latin1.map"
     latin1.write_bytes("# caf\u00e9\n".encode("latin-1")
@@ -239,6 +238,8 @@ def test_input_errors_take_the_input_error_path(case, tmp_path, capsys):
                           "abc"], "--seed"),
         "unknown-flag": (["analyze", str(MAPS / "family_d4.map"), "--fast"],
                          "--fast"),
+        "removed-flag": (["analyze", str(MAPS / "family_d4.map"),
+                          "--second-prime"], "--second-prime"),
         "no-point": (["fiber", str(MAPS / "family_d4.map")], "--point"),
         "no-command": ([], "command"),
     }[case]
@@ -362,40 +363,3 @@ def test_no_nonzero_3_minor_says_the_theorem_is_inapplicable(tmp_path, capsys):
     assert ("warning: I_3(J(f)) = 0: the degree-bound theorem does not apply"
             in out)
     assert "chain:" not in out
-
-
-def test_second_prime_flags_an_unlucky_prime(tmp_path, capsys):
-    # deg F = 1 over F_7 (F = X1 - X2) but 0 modulo the second prime
-    path = tmp_path / "unlucky_p7.map"
-    path.write_text("field p=7\nvars X0 X1 X2\n"
-                    "f0 -3*X0^2 - 2*X0*X1 + 2*X0*X2\n"
-                    "f1 -3*X2^2\n"
-                    "f2 -2*X1^2 - 3*X1*X2 - X2^2\n"
-                    "f3 -2*X0*X2 - 3*X1*X2 + X2^2\n")
-    code, out, _ = run_cli(["analyze", str(path), "--second-prime"], capsys)
-    assert code == 0
-    assert "deg F = 1   (outer bound 3(d-1) = 3)" in out
-    assert "second prime p = 2147483629: deg F = 0\n" in out
-    assert ("warning: unlucky prime suspected: deg F = 1 mod 7 but 0 mod "
-            "2147483629\n") in out
-    code, out, _ = run_cli(["analyze", str(path), "--second-prime", "--json"],
-                           capsys)
-    d = json.loads(out)
-    assert code == 0 and d["degF"] == 1
-    assert d["secondPrime"] == {"p": 2147483629, "degF": 0}
-    assert sum("unlucky prime suspected" in w for w in d["warnings"]) == 1
-
-
-def test_second_prime_steps_past_the_map_prime(tmp_path, capsys):
-    # over the second prime itself the check moves to the next prime below
-    text = (MAPS / "family_d4.map").read_text()
-    path = tmp_path / "family_d4_p2.map"
-    path.write_text("".join("field p=2147483629\n" if ln.startswith("field")
-                            else ln for ln in text.splitlines(True)))
-    code, out, _ = run_cli(["analyze", str(path), "--second-prime", "--json"],
-                           capsys)
-    assert code == 0
-    d = json.loads(out)
-    assert d["p"] == 2147483629
-    assert d["secondPrime"] == {"p": 2147483587, "degF": 6} and d["degF"] == 6
-    assert not any("unlucky" in w for w in d["warnings"])
