@@ -8,14 +8,14 @@ from the given seed (every other randomised step uses a fixed one).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (CharDividesDegree, FDoesNotDivideMinor,
                      RationalModeUnsupported)
 from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      discover_fibers, verify_bound_chain)
 from .jacobian import (EulerSyzygy, JacobianReport, RationalMapInput,
-                       euler_syzygy, jacobian_report)
+                       euler_syzygy, jacobian_report, line_euler_syzygy)
 from .syzygy import IndegResult, constant_relation, indeg_syzygy
 # Kept bound here: bench/trace_layers.py wraps analysis.linear_dependence_check.
 from .syzygy import linear_dependence_check  # noqa: F401
@@ -37,8 +37,7 @@ def fiber_json(F, names, rec: FiberRecord) -> dict:
             "sqfree": [[p.to_str(names), e] for p, e in rec.sqfree]}
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     inp: RationalMapInput
     jacobian: JacobianReport
     dependent: bool
@@ -74,13 +73,13 @@ class AnalysisReport:
             "F": jr.F.to_str(names) if jr.F is not None else None,
             "i3Nonzero": jr.i3_nonzero,
             "iTopNonzero": jr.i_top_nonzero,
-            "minorCount": len(jr.minors3),
-            "nonzeroMinorCount": sum(1 for m in jr.minors3 if not m.poly.is_zero()),
+            "minorCount": len(jr.minor_nonzero),
+            "nonzeroMinorCount": sum(jr.minor_nonzero),
             "dependent": self.dependent,
             "relation": (json_scalars(F, self.relation)
                          if self.relation is not None else None),
             "eulerSyzygy": ({"delta": self.euler.delta,
-                             "aDegrees": [a.total_degree() for a in self.euler.a]}
+                             "aDegrees": list(self.euler.a_degrees)}
                             if self.euler is not None else None),
             "indegSyz": self.indeg.indeg,
             "seed": self.seed,
@@ -124,7 +123,7 @@ class AnalysisReport:
         for i, fi in enumerate(inp.f):
             out.append(f"  f{i} = {fi.to_str(names)}")
         if jr.F is not None:
-            out.append(f"F = gcd of {len(jr.minors3)} 3-minors = {jr.F.to_str(names)}")
+            out.append(f"F = gcd of {len(jr.minor_nonzero)} 3-minors = {jr.F.to_str(names)}")
             out.append(f"deg F = {jr.degF}   (outer bound 3(d-1) = {3 * (inp.d - 1)})")
         else:
             out.append("I_3(J(f)) = 0: no nonzero 3-minor, theorem inapplicable")
@@ -177,7 +176,9 @@ def run_analysis(inp: RationalMapInput, seed: int = 42,
     euler = None
     if jr.F is not None and inp.m == 2 and inp.n == 3:
         try:
-            euler = euler_syzygy(inp, jr)
+            # A line that proved F = 1 also gives delta and the a_i's degrees.
+            euler = (line_euler_syzygy if jr.line is not None
+                     else euler_syzygy)(inp, jr)
         except (CharDividesDegree, FDoesNotDivideMinor) as exc:
             warnings.append(f"Euler syzygy unavailable: {exc}")
 

@@ -23,7 +23,7 @@ coverage numbers in the result quantify anything left unexplained.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .errors import (AllCombinationsZero, BasePointError, CharDividesDegree,
                      RationalModeUnsupported)
@@ -37,8 +37,7 @@ from .univariate import u_deg, u_factor, u_rem, u_sub
 from .univariate import irreducible_quadratics, u_roots  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """Point of projective space, normalised so the first nonzero coordinate is 1."""
 
     coords: tuple
@@ -60,8 +59,7 @@ class ProjectivePoint:
         return "(" + " : ".join(str(field.lift_balanced(c)) for c in self.coords) + ")"
 
 
-@dataclass
-class FiberRecord:
+class FiberRecord(NamedTuple):
     """A target point with an (m-1)-dimensional fiber and its equation."""
 
     y: ProjectivePoint
@@ -81,24 +79,27 @@ class FiberRecord:
                                     for p, e in sq))
 
 
-@dataclass
 class DiscoveryResult:
     """What `discover_fibers` found: the records, sorted by point, and the
     counts of the walk (no records and all counts 0 when F is constant)."""
 
-    budget: int
-    records: list = dataclass_field(default_factory=list)
-    squarefree_f_degree: int = 0
-    covered_degree: int = 0   # sum of deg(squarefree(h_y)) over the records
-    base_locus_skips: int = 0
-    nonrational_skips: int = 0
-    degenerate_lines: int = 0
-    lines: int = 0            # lines walked, at most budget
-    decisive: bool = False    # discovery stopped on a decisive line
+    __slots__ = ("budget", "records", "squarefree_f_degree", "covered_degree",
+                 "base_locus_skips", "nonrational_skips", "degenerate_lines",
+                 "lines", "decisive")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.records: list = []
+        self.squarefree_f_degree = 0
+        self.covered_degree = 0   # sum of deg(squarefree(h_y)) over the records
+        self.base_locus_skips = 0
+        self.nonrational_skips = 0
+        self.degenerate_lines = 0
+        self.lines = 0            # lines walked, at most budget
+        self.decisive = False     # discovery stopped on a decisive line
 
 
-@dataclass
-class BoundChainReport:
+class BoundChainReport(NamedTuple):
     sum_deg: int
     sum_weighted: int
     degF: int
@@ -261,8 +262,7 @@ def verify_bound_chain(inp: RationalMapInput, fibers: list, F: MvPoly,
                             refined=refined, refined_ok=refined_ok)
 
 
-@dataclass
-class RankCheck:
+class RankCheck(NamedTuple):
     rank_j: int
     rank_dphi: int
     consistent: bool

@@ -8,7 +8,7 @@ outer bound 3(d-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fields import DEFAULT_PRIME, PrimeField
 from .jacobian import RationalMapInput
@@ -56,8 +56,7 @@ def make_cube_dependent(field=None) -> RationalMapInput:
                                            x0 ** 3 + x1 ** 3])
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     build: object            # () -> RationalMapInput
     deg_f: int

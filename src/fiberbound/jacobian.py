@@ -5,29 +5,38 @@ The matrix J(f) has one row per form f_i and one column per variable; the
 contracted by the map.  For surface maps (m = 2, n = 3) the four signed
 maximal minors assemble into a syzygy of the f_i of degree 3(d-1) - deg F.
 
-`jacobian_report` expands the 3-minors once; F, the flag I_{m+1}(J) != 0 (on
-P^2 the top minors are the 3-minors) and the Euler syzygy read them off it.
+`jacobian_report` first tries to prove F = 1 on one line; only when the
+line proves nothing does it expand the 3-minors, once, and F, the flag
+I_{m+1}(J) != 0 (on P^2 the top minors are the 3-minors) and the Euler
+syzygy read them off the report.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AllMinorsZero, ArityMismatch, BadInput,
                      CharDividesDegree, CommonFactor, FDoesNotDivideMinor,
                      MixedDegrees, NotDivisible, NotHomogeneous,
                      SingularChange, SOutOfRange)
+from .fields import PrimeField
 from .gcd import gcd_multivariate
 from .linalg import rank, rank_mod_p
 # Kept bound here: bench/trace_layers.py wraps jacobian.kernel_basis.
 from .linalg import kernel_basis  # noqa: F401
 from .poly import MvPoly
+from .univariate import u_gcd, u_mul, u_reduce
+
+# The line test's prime over Q, where it runs on the coefficients mod q.
+_LINE_PRIME = 2 ** 31 - 1
+# Seed of the line's points.  A line that proves nothing costs only the
+# expansion that would have run anyway, so no seed changes a result.
+_LINE_SEED = 0x11AE
 
 
-@dataclass(frozen=True)
-class RationalMapInput:
+class RationalMapInput(NamedTuple):
     """A rational map P^m --> P^n given by n+1 forms of common degree d."""
 
     field: object
@@ -96,45 +105,46 @@ def build_jacobian(inp: RationalMapInput) -> list:
     return [[fi.derivative(j) for j in range(inp.nvars)] for fi in inp.f]
 
 
-@dataclass(frozen=True)
-class Minor:
+class Minor(NamedTuple):
     rows: tuple
     cols: tuple
     poly: MvPoly
 
 
-def minors(jac: list, s: int) -> list:
-    """All s-minors by cofactor expansion, zero minors included.
+def _index_sets(jac: list, s: int) -> list:
+    """(rows, cols) of every s-minor of jac, each set strictly increasing."""
+    return [(rows, cols)
+            for rows in itertools.combinations(range(len(jac)), s)
+            for cols in itertools.combinations(range(len(jac[0])), s)]
 
-    Index sets are strictly increasing, so no minor appears twice.  Each
-    minor is expanded along its first row; the sub-minors it needs are kept
-    for the call by (rows, cols), so minors that share one compute it once.
-    """
+
+def _det(jac: list, rows: tuple, cols: tuple, memo: dict) -> MvPoly:
+    """The minor of jac on rows x cols, expanded along its first row; memo
+    keeps the sub-minors by (rows, cols), so minors that share one compute
+    it once."""
+    if len(rows) == 1:
+        return jac[rows[0]][cols[0]]
+    if (rows, cols) not in memo:
+        acc = MvPoly.zero(jac[0][0].field, jac[0][0].nvars)
+        for j, col in enumerate(cols):
+            entry = jac[rows[0]][col]
+            if entry.is_zero():
+                continue
+            term = entry * _det(jac, rows[1:], cols[:j] + cols[j + 1:], memo)
+            acc = acc - term if j % 2 else acc + term
+        memo[rows, cols] = acc
+    return memo[rows, cols]
+
+
+def minors(jac: list, s: int) -> list:
+    """All s-minors by cofactor expansion, zero minors included, in the
+    order of `_index_sets`, so no minor appears twice."""
     nrows, ncols = len(jac), len(jac[0])
     if not 1 <= s <= min(nrows, ncols):
         raise SOutOfRange(f"minor size {s} outside 1..{min(nrows, ncols)}")
-    memo = {}
-
-    def det(rows: tuple, cols: tuple) -> MvPoly:
-        if len(rows) == 1:
-            return jac[rows[0]][cols[0]]
-        if (rows, cols) not in memo:
-            acc = MvPoly.zero(jac[0][0].field, jac[0][0].nvars)
-            for j, col in enumerate(cols):
-                entry = jac[rows[0]][col]
-                if entry.is_zero():
-                    continue
-                term = entry * det(rows[1:], cols[:j] + cols[j + 1:])
-                acc = acc - term if j % 2 else acc + term
-            memo[rows, cols] = acc
-        return memo[rows, cols]
-
-    out = [Minor(rset, cset, det(rset, cset))
-           for rset in itertools.combinations(range(nrows), s)
-           for cset in itertools.combinations(range(ncols), s)]
-    # det refers to itself, so only the cycle collector would free memo.
-    memo.clear()
-    return out
+    memo: dict = {}
+    return [Minor(rows, cols, _det(jac, rows, cols, memo))
+            for rows, cols in _index_sets(jac, s)]
 
 
 def gcd_of_minors(minors3) -> MvPoly:
@@ -144,32 +154,188 @@ def gcd_of_minors(minors3) -> MvPoly:
     return gcd_multivariate(*(mn.poly for mn in minors3))
 
 
-@dataclass
+def _residue(c, q: int) -> int:
+    """A coefficient mod q: an int, or a Fraction whose denominator q does
+    not divide."""
+    return c if type(c) is int else c.numerator * pow(c.denominator, -1, q)
+
+
+class _Line:
+    """The line L: t -> a + t b over F_q, with a = (1, a_1, ..., a_m) and
+    b = (0, b_1, ..., b_m) seeded, where q = p over F_p and q = _LINE_PRIME
+    over Q.  In this chart X0 is the constant 1, and the point at infinity
+    b lies on X0 = 0.  The powers of each a_j + t b_j, and the restriction
+    of each monomial, are built once, when first needed, and shared by
+    every restriction."""
+
+    __slots__ = ("field", "a", "b", "powers", "monomials")
+
+    def __init__(self, field, nvars: int):
+        q = field.char or _LINE_PRIME
+        self.field = field if field.char else PrimeField(q)
+        rng = random.Random(_LINE_SEED)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(nvars - 1)]
+        self.a = (1,) + tuple(aj for aj, _ in pairs)
+        self.b = (0,) + tuple(bj for _, bj in pairs)
+        self.powers = [[[1]] for _ in pairs]
+        self.monomials: dict = {}
+
+    def at_infinity(self, f: MvPoly) -> int:
+        """f(b) mod q, the top coefficient of f∘L when f is a form."""
+        q = self.field.char
+        value = 0
+        for e, c in f.terms.items():
+            if not e[0]:
+                c = _residue(c, q)
+                for bj, k in zip(self.b[1:], e[1:]):
+                    c = c * pow(bj, k, q) % q
+                value += c
+        return value % q
+
+    def restrict(self, f: MvPoly) -> MvPoly:
+        """f∘L mod q, a polynomial in t (the one variable of its ring)."""
+        q = self.field.char
+        acc = [0] * (f.total_degree() + 1)
+        for e, c in f.terms.items():
+            mono = self.monomials.get(e[1:])
+            if mono is None:
+                mono = [1]
+                for j, k in enumerate(e[1:], 1):
+                    row = self.powers[j - 1]
+                    while len(row) <= k:
+                        lin = [self.a[j], self.b[j]]
+                        row.append(u_reduce(u_mul(row[-1], lin), q))
+                    mono = u_reduce(u_mul(mono, row[k]), q)
+                self.monomials[e[1:]] = mono
+            c = _residue(c, q)
+            for i, v in enumerate(mono):
+                acc[i] += c * v
+        return MvPoly(self.field, 1, {(i,): v for i, v in enumerate(acc)})
+
+
+def _line_proof(inp: RationalMapInput, jac: list):
+    """(L, [U_i]) when one line L proves F = 1, else None; the U_i = M_i∘L
+    are the restricted 3-minors mod q, in `minors` order.
+
+    F∘L divides every U_i.  If some U_i has the full degree 3(d-1), its top
+    coefficient M_i(b) is nonzero, so F(b) != 0 and deg F∘L = deg F; if the
+    gcd of the nonzero U_i is 1 as well, then deg F = 0.  This holds over
+    every field.  Without the full degree it fails: with F = X0 and b on
+    X0 = 0, F∘L is a constant.  Over Q the test runs mod q: a U_i of full
+    degree mod q has a leading coefficient that q does not divide, so the
+    degree of the gcd over Q is at most the degree mod q, and a nonzero
+    U_i mod q proves M_i != 0.  The test stops at the first evidence
+    against F = 1: no nonzero 3-minor of J(b) (so no U_i of full degree),
+    a nonzero U_i below full degree, or a non-constant gcd of the first two
+    nonzero U_i.
+    """
+    if not inp.field.char and any(
+            type(c) is not int and not c.denominator % _LINE_PRIME
+            for fi in inp.f for c in fi.terms.values()):
+        return None
+    line = _Line(inp.field, inp.nvars)
+    q = line.field.char
+    # M_i(b) is the top coefficient of U_i.
+    if rank_mod_p(line.field, [[line.at_infinity(entry) for entry in row]
+                               for row in jac]) < 3:
+        return None
+    full = 3 * (inp.d - 1)
+    rjac = [[line.restrict(entry) for entry in row] for row in jac]
+    memo: dict = {}
+    u, g = [], None    # g: the gcd of the first nonzero U_i, dense
+    for rows, cols in _index_sets(jac, 3):
+        ui = _det(rjac, rows, cols, memo)
+        u.append(ui)
+        if ui.is_zero() or (g is not None and len(g) == 1):
+            continue
+        if ui.total_degree() < full:
+            return None
+        dense = [ui.terms.get((k,), 0) for k in range(full + 1)]
+        if g is None:
+            g = dense
+        else:
+            g = u_gcd(g, dense, q)
+            if len(g) > 1:
+                return None
+    return (line, u) if g is not None and len(g) == 1 else None
+
+
 class JacobianReport:
-    minors3: list
-    F: MvPoly | None
-    degF: int | None
-    i3_nonzero: bool
-    i_top_nonzero: bool
+    """What `jacobian_report` found: F (None when every 3-minor vanishes),
+    the flag I_{m+1}(J) != 0, and which 3-minors are nonzero, in `minors`
+    order.  When a line proved F = 1, `line` holds that line with the
+    restricted minors U_i, and `minors3` is expanded on first read."""
+
+    __slots__ = ("jac", "F", "i_top_nonzero", "minor_nonzero", "line",
+                 "_minors3")
+
+    def __init__(self, jac: list, F: MvPoly | None, i_top_nonzero: bool,
+                 minor_nonzero: tuple, line: tuple | None = None,
+                 minors3: list | None = None):
+        self.jac = jac
+        self.F = F
+        self.i_top_nonzero = i_top_nonzero
+        self.minor_nonzero = minor_nonzero
+        self.line = line
+        self._minors3 = minors3
+
+    @property
+    def minors3(self) -> list:
+        if self._minors3 is None:
+            self._minors3 = minors(self.jac, 3)
+        return self._minors3
+
+    @property
+    def degF(self) -> int | None:
+        return self.F.total_degree() if self.F is not None else None
+
+    @property
+    def i3_nonzero(self) -> bool:
+        return any(self.minor_nonzero)
 
 
 def jacobian_report(inp: RationalMapInput) -> JacobianReport:
+    """J, F and which 3-minors are nonzero: on one line when a line proves
+    F = 1 (`_line_proof`), else from the expanded 3-minors.  On the line a
+    nonzero U_i shows M_i != 0; a minor whose U_i is 0 is expanded exactly,
+    and only that one."""
     jac = build_jacobian(inp)
-    m3 = minors(jac, 3) if min(inp.n + 1, inp.m + 1) >= 3 else []
-    i3 = any(not mn.poly.is_zero() for mn in m3)
-    F = gcd_of_minors(m3) if i3 else None
-    return JacobianReport(minors3=m3, F=F,
-                          degF=F.total_degree() if F is not None else None,
-                          i3_nonzero=i3,
-                          i_top_nonzero=generic_finiteness_check(inp, jac, m3))
+    if min(inp.n + 1, inp.m + 1) < 3:
+        return JacobianReport(jac, None,
+                              generic_finiteness_check(inp, jac, False), (),
+                              minors3=[])
+    proof = _line_proof(inp, jac)
+    if proof is None:
+        m3 = minors(jac, 3)
+        nonzero = tuple(not mn.poly.is_zero() for mn in m3)
+        F = gcd_of_minors(m3) if any(nonzero) else None
+        return JacobianReport(jac, F,
+                              generic_finiteness_check(inp, jac, any(nonzero)),
+                              nonzero, minors3=m3)
+    memo: dict = {}
+    nonzero = tuple(not ui.is_zero() or not _det(jac, rows, cols, memo).is_zero()
+                    for ui, (rows, cols) in zip(proof[1], _index_sets(jac, 3)))
+    return JacobianReport(jac, MvPoly.one(inp.field, inp.nvars),
+                          generic_finiteness_check(inp, jac, True), nonzero,
+                          line=proof)
 
 
-@dataclass
-class EulerSyzygy:
-    """a_i = D_i / F for the signed maximal minors D_i (not kept): sum a_i f_i = 0."""
+class EulerSyzygy(NamedTuple):
+    """sum a_i f_i = 0 with a_i = D_i / F for the signed maximal minors D_i
+    (not kept), of degree delta; a_degrees[i] is deg a_i, -1 when a_i = 0.
+    `a` is None when a line proved F = 1: there a_i = D_i, not expanded."""
 
-    a: tuple
     delta: int
+    a_degrees: tuple
+    a: tuple | None = None
+
+
+def _surface_guard(inp: RationalMapInput) -> None:
+    if inp.m != 2 or inp.n != 3:
+        raise ValueError("the Euler syzygy construction needs m = 2, n = 3")
+    p = inp.field.char
+    if p and inp.d % p == 0:
+        raise CharDividesDegree("construction invalid when p divides d")
 
 
 def euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
@@ -178,11 +344,7 @@ def euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
     D_i is (-1)^i times the 3-minor on the rows other than i, read off
     `jr.minors3`; F is `jr.F`.
     """
-    if inp.m != 2 or inp.n != 3:
-        raise ValueError("the Euler syzygy construction needs m = 2, n = 3")
-    p = inp.field.char
-    if p and inp.d % p == 0:
-        raise CharDividesDegree("construction invalid when p divides d")
+    _surface_guard(inp)
     F, minors3 = jr.F, jr.minors3
     # minors3[k] leaves out row 3 - k.
     D = [minors3[3 - i].poly if i % 2 == 0 else -minors3[3 - i].poly
@@ -202,7 +364,42 @@ def euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
     for ai in a:
         if not ai.is_zero() and ai.total_degree() != delta:
             raise FDoesNotDivideMinor("syzygy entry has unexpected degree")
-    return EulerSyzygy(a=tuple(a), delta=delta)
+    return EulerSyzygy(delta=delta,
+                       a_degrees=tuple(ai.total_degree() for ai in a),
+                       a=tuple(a))
+
+
+def line_euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
+    """The Euler syzygy of a report whose line proved F = 1, read off the
+    U_i: a_i = D_i, so delta = 3(d-1) and deg a_i is delta or -1 as the
+    minor is nonzero or not.
+
+    Two exact checks stand in for the re-multiplication of `euler_syzygy`.
+    Euler's relation d f_i = sum_j X_j df_i/dX_j, for every form, makes the
+    first column of det[f | J] a combination of the others when p does not
+    divide d, so that determinant is 0; its Laplace expansion along the
+    first column is sum_i (-1)^i f_i M_(3-i) = 0 for the true minors
+    (M_(3-i) leaves out row i).  The same identity restricted to the line
+    is checked on the U_i that were computed.
+    """
+    _surface_guard(inp)
+    for fi, row in zip(inp.f, jr.jac):
+        acc = fi.scale(-inp.d)
+        for j, entry in enumerate(row):
+            acc = acc + entry.shift([int(k == j) for k in range(inp.nvars)])
+        if not acc.is_zero():
+            raise FDoesNotDivideMinor("Euler's relation fails for a form")
+    line, u = jr.line
+    combo = MvPoly.zero(line.field, 1)
+    for i, fi in enumerate(inp.f):
+        term = line.restrict(fi) * u[3 - i]
+        combo = combo - term if i % 2 else combo + term
+    if not combo.is_zero():
+        raise FDoesNotDivideMinor("constructed tuple is not a syzygy on the line")
+    delta = 3 * (inp.d - 1)
+    return EulerSyzygy(delta=delta,
+                       a_degrees=tuple(delta if jr.minor_nonzero[3 - i] else -1
+                                       for i in range(4)))
 
 
 def fitting_invariance_check(inp: RationalMapInput, change, F: MvPoly) -> bool:
@@ -224,10 +421,10 @@ def fitting_invariance_check(inp: RationalMapInput, change, F: MvPoly) -> bool:
     return F.monic() == F2.monic()
 
 
-def generic_finiteness_check(inp: RationalMapInput, jac: list, minors3: list) -> bool:
-    """I_{m+1}(J) != 0, given J and its 3-minors.
+def generic_finiteness_check(inp: RationalMapInput, jac: list, i3: bool) -> bool:
+    """I_{m+1}(J) != 0, given J and whether I_3(J) != 0.
 
-    On P^2 the top minors are the 3-minors, scanned as they are.  Otherwise
+    On P^2 the top minors are the 3-minors, so the answer is i3.  Otherwise
     up to 12 random evaluations (seed 0) give nonvanishing certificates (a
     full `rank_mod_p`, which over Q can only understate the rank); if every
     trial fails, the answer falls back to exact symbolic expansion.
@@ -237,7 +434,7 @@ def generic_finiteness_check(inp: RationalMapInput, jac: list, minors3: list) ->
     if s > inp.n + 1:
         return False
     if s == 3:
-        return any(not mn.poly.is_zero() for mn in minors3)
+        return i3
     rng = random.Random(0)
     for _ in range(12):
         q = [F.rand(rng) for _ in range(s)]

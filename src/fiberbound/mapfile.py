@@ -19,6 +19,7 @@ common degree d, gcd(f_0,...,f_n) = 1, and p not dividing d.
 from __future__ import annotations
 
 import math
+from operator import add
 
 from .errors import ParseError
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
@@ -63,6 +64,13 @@ def _tokenize(text: str, lineno: int, col0: int):
 
 
 class _ExprParser:
+    """Recursive descent over the tokens of one expression.  Its values are
+    term maps {exponent tuple: int}, unreduced and possibly holding zeros:
+    sums accumulate in place, a product with a one-term factor shifts and
+    scales the other factor, and only a product of two multi-term factors,
+    or a power of one, goes through MvPoly.  `parse_polynomial` builds the
+    MvPoly, whose constructor reduces and drops zeros, once per form."""
+
     def __init__(self, tokens, lineno, field, varindex, nvars):
         self.tokens = tokens
         self.pos = 0
@@ -70,6 +78,8 @@ class _ExprParser:
         self.field = field
         self.varindex = varindex
         self.nvars = nvars
+        self.units = [tuple(int(i == j) for i in range(nvars))
+                      for j in range(nvars)]
 
     def peek(self):
         return self.tokens[self.pos]
@@ -83,37 +93,49 @@ class _ExprParser:
         kind, _, col = self.peek()
         raise ParseError(message, self.lineno, col)
 
-    def parse(self) -> MvPoly:
-        poly = self.expr()
+    def parse(self) -> dict:
+        terms = self.expr()
         if self.peek()[0] != "end":
             self.fail("unexpected trailing input")
-        return poly
+        return terms
 
-    def expr(self) -> MvPoly:
+    def expr(self) -> dict:
         kind, val, _ = self.peek()
         if kind == "op" and val in "+-":
             self.take()
-        acc = -self.term() if (kind, val) == ("op", "-") else self.term()
+        acc = self.term()
+        if (kind, val) == ("op", "-"):
+            acc = {e: -c for e, c in acc.items()}
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
+                sign = -1 if val == "-" else 1
+                for e, c in self.term().items():
+                    acc[e] = acc.get(e, 0) + sign * c
             else:
                 return acc
 
-    def term(self) -> MvPoly:
+    def term(self) -> dict:
         acc = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.take()
-                acc = acc * self.factor()
+                acc = self.product(acc, self.factor())
             else:
                 return acc
 
-    def factor(self) -> MvPoly:
+    def product(self, a: dict, b: dict) -> dict:
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) != 1:
+            return (MvPoly(self.field, self.nvars, a)
+                    * MvPoly(self.field, self.nvars, b)).terms
+        (eb, cb), = b.items()
+        return {tuple(map(add, e, eb)): c * cb for e, c in a.items()}
+
+    def factor(self) -> dict:
         base = self.primary()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -122,19 +144,23 @@ class _ExprParser:
             if kind != "int":
                 self.fail("exponent must be an integer literal")
             self.take()
-            return base ** val
+            if len(base) != 1:
+                return (MvPoly(self.field, self.nvars, base) ** val).terms
+            (e, c), = base.items()
+            p = self.field.char
+            return {tuple(k * val for k in e): pow(c, val, p) if p else c ** val}
         return base
 
-    def primary(self) -> MvPoly:
+    def primary(self) -> dict:
         kind, val, col = self.peek()
         if kind == "int":
             self.take()
-            return MvPoly.constant(self.field, self.nvars, val)
+            return {(0,) * self.nvars: val}
         if kind == "name":
             self.take()
             if val not in self.varindex:
                 raise ParseError(f"undeclared variable {val!r}", self.lineno, col)
-            return MvPoly.variable(self.field, self.nvars, self.varindex[val])
+            return {self.units[self.varindex[val]]: 1}
         if kind == "op" and val == "(":
             self.take()
             inner = self.expr()
@@ -152,7 +178,7 @@ def parse_polynomial(text: str, field, varnames, lineno: int = 1,
     tokens = _tokenize(text, lineno, col0)
     parser = _ExprParser(tokens, lineno, field, varindex, len(varnames))
     try:
-        return parser.parse()
+        return MvPoly(field, len(varnames), parser.parse())
     except RecursionError:
         raise ParseError("parentheses nested too deeply", lineno) from None
 

@@ -15,9 +15,9 @@ whose vectors are the linear relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from .errors import NoSyzygyFound, SyzygyCheckFailed
 from .jacobian import RationalMapInput
@@ -25,8 +25,7 @@ from .linalg import kernel_basis, rank_mod_p
 from .poly import MvPoly, monomials_of_degree
 
 
-@dataclass
-class IndegResult:
+class IndegResult(NamedTuple):
     indeg: int
     basis: list | None = None  # verified, unless counting certified the hit
 

@@ -2,12 +2,12 @@
 
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
 import fiberbound.jacobian as jac_mod
-from fiberbound import (AllMinorsZero, CharDividesDegree, MvPoly, PrimeField,
+from fiberbound import (AllMinorsZero, CharDividesDegree, JacobianReport,
+                        MvPoly, PrimeField,
                         RationalField, RationalMapInput, SingularChange, SOutOfRange,
                         build_jacobian, euler_syzygy, fitting_invariance_check,
                         gcd_of_minors, jacobian_report,
@@ -262,7 +262,9 @@ def test_euler_syzygy_rejects_a_non_divisor(field, make):
     jr = jacobian_report(inp)
     F = jr.F
     with pytest.raises(FDoesNotDivideMinor):
-        euler_syzygy(inp, replace(jr, F=F * MvPoly.variable(field, 3, 0)))
+        euler_syzygy(inp, JacobianReport(jr.jac, F * MvPoly.variable(field, 3, 0),
+                                         jr.i_top_nonzero, jr.minor_nonzero,
+                                         minors3=jr.minors3))
 
 
 def test_euler_syzygy_char_guard():
