@@ -4,9 +4,11 @@ Entries are plain ints over F_p, reduced mod p = F.char; over the
 rationals (p = 0) an entry is an int or a Fraction, and `kernel_basis`
 returns each as an int when it is integral and a Fraction otherwise.  The
 input rows may hold unreduced ints.
-`rank_mod_p` eliminates forward only, on rows packed into one int each (the
-word packing of FFLAS-FFPACK, Dumas, Giorgi & Pernet 2008); `rref` serves
-`kernel_basis` and the exact `rank`, which ranks only small scalar matrices.
+`rank_mod_p` and `first_pivotless` share one forward elimination, on rows
+packed into one int each (the word packing of FFLAS-FFPACK, Dumas, Giorgi
+& Pernet 2008); `first_pivotless` stops at the first column without a
+pivot.  `rref` serves `kernel_basis` and the exact `rank`, which ranks
+only small scalar matrices.
 """
 
 from __future__ import annotations
@@ -70,42 +72,73 @@ def rank(F, rows: list) -> int:
 
 
 def _packed_rank(p: int, rows: list, ncols: int) -> int:
-    """Rank over F_p of integer rows by forward elimination on packed rows.
+    """Rank over F_p of integer rows: the pivot count of `_eliminate`."""
+    width = _slot_width(p, len(rows))
+    live = [r for r in (_pack(p, row, width) for row in rows) if r]
+    return sum(_eliminate(p, live, ncols, width))
 
-    Column c of a row is its c-th slot of `width` bytes, lowest first.  A
-    pivot row is reduced and scaled to lead with 1; a row is updated as
-    row + off - f * pivot with f < p and p^2 in every slot of `off`, so no
-    slot borrows, and after at most len(rows) - 1 updates a slot is still
-    below len(rows) * p^2.  Each row drops its lowest slot per column.
+
+def first_pivotless(F, nrows: int, ncols: int, entries) -> int | None:
+    """The first column without a pivot under forward elimination mod p,
+    that is the least c whose columns 0..c are dependent mod p, or None when
+    all ncols columns are independent.  `entries` gives the nonzero cells
+    as (row, column, int) triples, each cell at most once; they are written
+    straight into the packed rows, and elimination stops at that column.
+    Over Q the ints are taken mod DEFAULT_PRIME, where a full column rank
+    certifies one over Q."""
+    p = F.char or DEFAULT_PRIME
+    width = _slot_width(p, nrows)
+    bufs = [bytearray(ncols * width) for _ in range(nrows)]
+    for r, c, x in entries:
+        bufs[r][c * width:(c + 1) * width] = (x % p).to_bytes(width, "little")
+    live = [r for r in (int.from_bytes(b, "little") for b in bufs) if r]
+    return next((c for c, pivot in enumerate(_eliminate(p, live, ncols, width))
+                 if not pivot), None)
+
+
+def _slot_width(p: int, nrows: int) -> int:
+    """Bytes per column of a packed row of an nrows-row matrix over F_p:
+    2 bitlen(p) + bitlen(nrows) + 2 bits, which hold nrows * p^2 (see
+    `_eliminate`), rounded up to whole bytes."""
+    return (2 * p.bit_length() + nrows.bit_length() + 2 + 7) // 8
+
+
+def _pack(p: int, entries, width: int) -> int:
+    """One int holding the entries mod p, entry c in the c-th width-byte
+    slot, lowest first."""
+    return int.from_bytes(b"".join([(x % p).to_bytes(width, "little")
+                                    for x in entries]), "little")
+
+
+def _eliminate(p: int, live: list, ncols: int, width: int):
+    """Forward elimination over F_p on packed nonzero rows; yields, column by
+    column, whether the column holds a pivot.
+
+    Column c of a row is its c-th slot of `width` bytes, lowest first, and
+    each row drops its lowest slot per column.  A pivot row is reduced and
+    scaled to lead with 1; a row is updated as row + off - f * pivot with
+    f < p and p^2 in every slot of `off`, so no slot borrows, and after at
+    most len(live) - 1 updates a slot is still below len(live) * p^2,
+    which `_slot_width` of at least len(live) rows holds.
     """
-    if not rows or not ncols:
-        return 0
-    width = (2 * p.bit_length() + len(rows).bit_length() + 2 + 7) // 8
     bits = 8 * width
     mask = (1 << bits) - 1
-    shifts = range(0, ncols * bits, bits)
-
-    def pack(entries) -> int:
-        return sum([(x % p) << s for x, s in zip(entries, shifts) if x])
-
-    live = [r for r in map(pack, rows) if r]
     off = int.from_bytes((p * p).to_bytes(width, "little") * ncols, "little")
-    found = 0
     for c in range(ncols):
         k = next((i for i, r in enumerate(live) if (r & mask) % p), None)
         if k is None:
+            yield False
             live = [s for r in live if (s := r >> bits)]
         else:
             slots = unpack_slots(live.pop(k), width,
                                  range(0, (ncols - c) * width, width))
             inv = pow(slots[0], -1, p)
-            pivot = pack([x * inv for x in slots])
-            found += 1
+            pivot = _pack(p, [x * inv for x in slots], width)
+            yield True
             live = [s for r in live
                     if (s := (r + off - f * pivot if (f := (r & mask) % p)
                               else r) >> bits)]
         off >>= bits
-    return found
 
 
 def kernel_basis(F, rows: list, ncols: int) -> list:

@@ -10,7 +10,8 @@ Format::
     ...
 
 Polynomial expressions use +, -, *, ^, integer literals, the declared
-variable names, and parentheses.  Multiplication is always explicit.  The
+variable names, and parentheses.  Multiplication is always explicit, and
+over Q a power of one term may have at most POWER_BITS bits.  The
 labels f0..fn must form a complete range, and no label, `field` or `vars`
 line may repeat.  Parsing validates the map: homogeneous forms of one
 common degree d, gcd(f_0,...,f_n) = 1, and p not dividing d.
@@ -27,6 +28,10 @@ from .jacobian import RationalMapInput
 from .poly import MvPoly
 
 _OPS = set("+-*^()")
+# Over Q a power of one term, such as 12^345678901, is computed exactly; one
+# with more bits than this is a parse error instead of a computation that
+# does not end.
+POWER_BITS = 1 << 16
 
 
 def _tokenize(text: str, lineno: int, col0: int):
@@ -140,7 +145,7 @@ class _ExprParser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            kind, val, _ = self.peek()
+            kind, val, col = self.peek()
             if kind != "int":
                 self.fail("exponent must be an integer literal")
             self.take()
@@ -148,7 +153,17 @@ class _ExprParser:
                 return (MvPoly(self.field, self.nvars, base) ** val).terms
             (e, c), = base.items()
             p = self.field.char
-            return {tuple(k * val for k in e): pow(c, val, p) if p else c ** val}
+            if p:
+                c = pow(c, val, p)
+            else:
+                # |c|^val has at least (bitlen |c| - 1) val + 1 bits, so a
+                # power under that bound has at most 2 POWER_BITS bits.
+                c = (c ** val if abs(c) < 2
+                     or (abs(c).bit_length() - 1) * val < POWER_BITS else None)
+                if c is None or c.bit_length() > POWER_BITS:
+                    raise ParseError(f"power has more than {POWER_BITS} bits",
+                                     self.lineno, col)
+            return {tuple(k * val for k in e): c}
         return base
 
     def primary(self) -> dict:

@@ -1,27 +1,35 @@
 """Graded pieces of the syzygy module of (f_0, ..., f_n) by exact linear algebra.
 
-The degree-nu piece is the kernel of the linear map sending coefficient
-vectors of (a_0, ..., a_n), each a_i of degree nu, to the coefficients of
-sum a_i f_i in degree nu + d.  The initial degree of the syzygy module is
-found by scanning nu upwards; a Koszul relation guarantees a hit by nu = d.
+The degree-nu piece is the kernel of the Macaulay matrix M_nu, which sends
+coefficient vectors of (a_0, ..., a_n), each a_i of degree nu, to the
+coefficients of sum a_i f_i in degree nu + d.
 
 `graded_syzygy_kernel` settles one degree: a full rank mod p means no
 syzygy and no elimination, and otherwise one exact RREF gives the basis,
-each vector re-verified symbolically.  `indeg_syzygy` calls it at every
-degree that counting does not certify.  Degree 0 is never certified by
-counting, so a linearly dependent map comes back with its degree-0 basis,
-whose vectors are the linear relations.
+each vector re-verified symbolically.
+
+`indeg_syzygy` finds the initial degree without ranking every degree.  Let
+the columns (i, mu) of M_nu run by decreasing X0 exponent of mu.
+Multiplication by X0 is injective, so the first (n+1) C(k+m, m) columns
+are X0^(nu-k) M_k, and one forward elimination of M_nu gives the rank of
+every M_k with k <= nu.  If its first pivotless column lies in block k (mu
+of X0 exponent nu - k), then every M_j with j < k has full column rank mod
+p, hence over Q too, and M_k is deficient mod p.  Probes at degrees 1, 2,
+4, ... (Bentley & Yao's unbounded search) stop at the first one with a
+pivotless column, and `graded_syzygy_kernel` builds the basis at its k.
+Degree 0 is never certified by counting, so a linearly dependent map comes
+back with its degree-0 basis, whose vectors are the linear relations.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import NamedTuple
 
 from .errors import NoSyzygyFound, SyzygyCheckFailed
 from .jacobian import RationalMapInput
-from .linalg import kernel_basis, rank_mod_p
+from .linalg import first_pivotless, kernel_basis, rank_mod_p
 from .poly import MvPoly, monomials_of_degree
 
 
@@ -84,20 +92,51 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> list:
     return basis
 
 
+def _deficient_block(inp: RationalMapInput, nu: int) -> int | None:
+    """The least k <= nu whose M_k has deficient rank mod p (over Q, at
+    `first_pivotless`'s prime), or None: one forward elimination of M_nu with
+    its columns (mu, i) in the lex descending order of mu, which is by
+    decreasing X0 exponent.  Over Q each form is scaled by the lcm of its
+    denominators, which scales columns and keeps the rank."""
+    n1 = len(inp.f)
+    source = monomials_of_degree(inp.nvars, nu)
+    target = monomials_of_degree(inp.nvars, nu + inp.d)
+    index = {e: i for i, e in enumerate(target)}
+    forms = []
+    for fi in inp.f:
+        den = lcm(*(c.denominator for c in fi.terms.values()))
+        forms.append([(e, c.numerator * (den // c.denominator))
+                      for e, c in fi.terms.items()])
+    entries = ((index[tuple(map(add, e, mu))], j * n1 + i, c)
+               for j, mu in enumerate(source)
+               for i, terms in enumerate(forms) for e, c in terms)
+    c = first_pivotless(inp.field, len(target), n1 * len(source), entries)
+    return None if c is None else nu - source[c // n1][0]
+
+
 def indeg_syzygy(inp: RationalMapInput) -> IndegResult:
     """Smallest nu with a nonzero syzygy.  Above degree 0, more coefficient
     tuples (n+1) C(nu+m, m) than combinations C(nu+d+m, m) certify one by
-    counting, with no matrix; `graded_syzygy_kernel` settles every other
-    degree.  The search runs to d, where a Koszul relation
-    f_j e_i - f_i e_j makes it always succeed."""
-    m = inp.m
-    for nu in range(inp.d + 1):
-        if nu and len(inp.f) * comb(nu + m, m) > comb(nu + inp.d + m, m):
-            return IndegResult(indeg=nu)
+    counting at `hit`, with no matrix.  Probes at degrees 1, 2, 4, ...,
+    capped at hit - 1 (at d when counting certifies none), find the first
+    degree k deficient mod p, and `graded_syzygy_kernel` builds its basis.
+    Over Q the rank mod p may understate: when the exact kernel at k is
+    empty, each higher degree, all deficient mod p, goes to it in turn.  A
+    Koszul relation f_j e_i - f_i e_j makes the search succeed by d."""
+    m, d = inp.m, inp.d
+    hit = next((nu for nu in range(1, d + 1)
+                if len(inp.f) * comb(nu + m, m) > comb(nu + d + m, m)), None)
+    top = d if hit is None else hit - 1
+    probe = 1
+    while (k := _deficient_block(inp, min(probe, top))) is None and probe < top:
+        probe *= 2
+    for nu in range(top + 1 if k is None else k, top + 1):
         basis = graded_syzygy_kernel(inp, nu)
         if basis:
             return IndegResult(indeg=nu, basis=basis)
-    raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
+    if hit is None:
+        raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
+    return IndegResult(indeg=hit)
 
 
 def linear_dependence_check(inp: RationalMapInput):

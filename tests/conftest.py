@@ -1,8 +1,12 @@
+from math import comb
+
 import pytest
 
 from fiberbound import MvPoly, PrimeField, RationalMapInput
+from fiberbound.errors import NoSyzygyFound
 from fiberbound.linalg import rank
-from fiberbound.syzygy import monomials_of_degree
+from fiberbound.syzygy import (IndegResult, graded_syzygy_kernel,
+                               monomials_of_degree)
 
 
 @pytest.fixture(scope="session")
@@ -76,6 +80,18 @@ def independent_rank_mod_p(p, rows):
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def upward_scan_indeg(inp: RationalMapInput) -> IndegResult:
+    """Reference for `indeg_syzygy`: every degree in turn, from 0 up."""
+    m = inp.m
+    for nu in range(inp.d + 1):
+        if nu and len(inp.f) * comb(nu + m, m) > comb(nu + inp.d + m, m):
+            return IndegResult(indeg=nu)
+        basis = graded_syzygy_kernel(inp, nu)
+        if basis:
+            return IndegResult(indeg=nu, basis=basis)
+    raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
 
 
 def _random_gl(field, size, rng):

@@ -9,7 +9,8 @@ import pytest
 import fiberbound.linalg as linalg
 from fiberbound import PrimeField, RationalField
 from fiberbound.fields import DEFAULT_PRIME
-from fiberbound.linalg import kernel_basis, rank, rank_mod_p, rref
+from fiberbound.linalg import (first_pivotless, kernel_basis, rank,
+                               rank_mod_p, rref)
 
 from conftest import independent_rank_mod_p
 
@@ -100,6 +101,27 @@ def test_packed_rank_on_products_of_known_rank(F):
         assert rank(F, m) == r
         assert len(rref(F, m)[1]) == r
         assert independent_rank_mod_p(p, m) == r
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, DEFAULT_PRIME])
+def test_first_pivotless_is_the_first_dependent_column(p):
+    # The least c whose columns 0..c have rank c, from cells in any order,
+    # negative and unreduced; None when every column is independent.
+    rng = random.Random(p + 1)
+    seen = set()
+    for _ in range(60):
+        nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
+        r = rng.randint(0, min(nrows, ncols))
+        m = _known_rank(rng, nrows, ncols, r, lambda: rng.randint(-3 * p, 3 * p))
+        cells = [(i, c, x) for i, row in enumerate(m)
+                 for c, x in enumerate(row) if x]
+        rng.shuffle(cells)
+        expected = next((c for c in range(ncols) if independent_rank_mod_p(
+            p, [row[:c + 1] for row in m]) == c), None)
+        assert first_pivotless(SimpleNamespace(char=p), nrows, ncols,
+                               iter(cells)) == expected
+        seen.add(expected if expected is None else expected > 0)
+    assert seen == {None, False, True}
 
 
 def test_rank_of_empty_matrices_and_zero_columns():

@@ -1,5 +1,6 @@
 """Map-file grammar, validation diagnostics, and the print/parse round trip."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,10 @@ import pytest
 from fiberbound import (CharDividesDegree, CommonFactor, MixedDegrees,
                         NotHomogeneous, ParseError, parse_map_file,
                         parse_polynomial, print_map_file)
-from fiberbound.fields import PrimeField, RationalField, is_prime
+from fiberbound.fields import (DEFAULT_PRIME, PrimeField, RationalField,
+                               is_prime)
 from fiberbound.jacobian import RationalMapInput, jacobian_report
+from fiberbound.mapfile import POWER_BITS
 
 EXAMPLE2 = """\
 # the degree-6 fixture
@@ -193,6 +196,32 @@ def test_label_numbers_are_decimal_and_bounded():
     with pytest.raises(ParseError) as exc:
         parse_map_file("vars X0 X1\nf0 X0^2\nf" + "1" * 4400 + " X1^2\n")
     assert exc.value.line == 3 and "too long" in str(exc.value)
+
+
+def test_a_rational_power_over_the_bit_limit_is_a_parse_error():
+    # Over Q a one-term power is computed exactly, so 12^345678901 would not
+    # finish; it is refused at its exponent.  Over F_p it is a powmod.
+    text = "vars X Y\nf0 X + 12^345678901*Y\nf1 Y\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_map_file("field rational\n" + text)
+    assert time.perf_counter() - start < 1
+    assert (exc.value.line, exc.value.col) == (3, 11)
+    assert str(exc.value).startswith(f"power has more than {POWER_BITS} bits")
+    assert parse_map_file(text).f[0].terms[(0, 1)] == \
+        pow(12, 345678901, DEFAULT_PRIME)
+    # The limit is on the value: 2^(POWER_BITS - 1) has POWER_BITS bits, and
+    # 3^(2 POWER_BITS / 3) about 1.06 POWER_BITS.
+    Q = RationalField()
+    for expr, value in ((f"2^{POWER_BITS - 1}", 1 << POWER_BITS - 1),
+                        (f"(-2)^{POWER_BITS - 1}", -1 << POWER_BITS - 1),
+                        (f"1^{10 ** 30}", 1), (f"(-1)^{10 ** 30 + 1}", -1)):
+        assert parse_polynomial(expr, Q, ("X",)).terms == {(0,): value}
+    assert parse_polynomial(f"0^{10 ** 30}", Q, ("X",)).is_zero()
+    for expr in (f"2^{POWER_BITS}", f"3^{2 * POWER_BITS // 3}",
+                 f"(2*X)^{POWER_BITS}", f"12^{10 ** 30}"):
+        with pytest.raises(ParseError):
+            parse_polynomial(expr, Q, ("X",))
 
 
 def test_overlong_field_modulus_is_its_own_parse_error():

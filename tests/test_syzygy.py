@@ -15,7 +15,9 @@ from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
 from fiberbound.poly import grlex_key
 from fiberbound.syzygy import linear_dependence_check, monomials_of_degree
 
-from conftest import independent_rank_mod_p, rand_nonzero, random_poly
+import conftest
+from conftest import (independent_rank_mod_p, rand_nonzero, random_poly,
+                      upward_scan_indeg)
 
 
 def _assemble_matrix_independently(inp, nu):
@@ -236,28 +238,117 @@ def _dense_map(field, rng, d, nvars=3, nforms=4):
 def test_dense_maps_hit_at_the_counted_degree(field, monkeypatch):
     # (a_0..a_3) of degree nu have 4 C(nu+2, 2) coefficients, and sum a_i f_i
     # has C(nu+d+2, 2); a generic map has no syzygy before the first nu
-    # where the first count exceeds the second.
+    # where the first count exceeds the second.  Probes at 1, 2, 4, ...,
+    # capped at that nu - 1, all find full rank, and no kernel is built.
     rng = random.Random(53)
-    ranks = []
-    real_rank = syz_mod.rank_mod_p
+    probes = []
+    real = syz_mod._deficient_block
 
-    def counting(F, rows):
-        ranks.append(len(rows[0]))
-        return real_rank(F, rows)
+    def counting(inp, nu):
+        probes.append(nu)
+        return real(inp, nu)
 
-    def no_kernel(F, rows, ncols):
-        raise AssertionError(f"kernel basis built for {ncols} columns")
+    def no_kernel(inp, nu):
+        raise AssertionError(f"kernel built at degree {nu}")
 
-    monkeypatch.setattr(syz_mod, "rank_mod_p", counting)
-    monkeypatch.setattr(syz_mod, "kernel_basis", no_kernel)
-    for d in range(3, 7):
+    monkeypatch.setattr(syz_mod, "_deficient_block", counting)
+    monkeypatch.setattr(syz_mod, "graded_syzygy_kernel", no_kernel)
+    for d, expected in ((3, [1]), (4, [1, 2]), (5, [1, 2, 3]), (6, [1, 2, 4])):
         inp = _dense_map(field, rng, d)
         counted = next(nu for nu in range(d + 1)
                        if 4 * comb(nu + 2, 2) > comb(nu + d + 2, 2))
-        ranks.clear()
+        probes.clear()
         assert indeg_syzygy(inp).indeg == counted
-        # one rank per degree below the hit, none at it
-        assert ranks == [4 * comb(nu + 2, 2) for nu in range(counted)]
+        assert probes == expected and expected[-1] == counted - 1
+
+
+def _counted(nforms, m, d):
+    """The least nu > 0 at which counting certifies a syzygy."""
+    return next(nu for nu in range(1, d + 1)
+                if nforms * comb(nu + m, m) > comb(nu + d + m, m))
+
+
+def _planted_map(F, rng, nvars, d, k, perturb=False, x0_in_b=False):
+    """f_0 = A B and f_1 = A C with deg B = deg C = k, so C f_0 - B f_1 is a
+    syzygy of degree k, and nvars - 1 random forms; with `x0_in_b`, B is
+    X0 times a random form.  With `perturb`, f_1 is A C + q D with
+    q = 2^31 - 1: the same map mod q, but over Q f_0 and f_1 have no common
+    factor, and the syzygy is gone."""
+    def form(deg):
+        return random_poly(F, nvars, deg, rng, homogeneous_deg=deg,
+                           density=1.0)
+
+    while True:
+        a, c = form(d - k), form(k)
+        b = MvPoly.variable(F, nvars, 0) * form(k - 1) if x0_in_b else form(k)
+        f1 = a * c + form(d).scale(DEFAULT_PRIME) if perturb else a * c
+        try:
+            return RationalMapInput.create(
+                F, [a * b, f1, *(form(d) for _ in range(nvars - 1))])
+        except CommonFactor:
+            continue
+
+
+@pytest.mark.parametrize("F", [PrimeField(), RationalField()], ids=["fp", "q"])
+def test_planted_syzygies_of_every_degree_below_the_hit(F, monkeypatch):
+    # indeg is the planted k, as the upward scan finds it, and the only
+    # kernel built is the one at k.  The scan shares the search's kernels,
+    # which over Q cost the most.
+    rng = random.Random(57)
+    calls = []
+    kernels = {}
+    real = syz_mod.graded_syzygy_kernel
+
+    def shared(inp, nu):
+        if nu not in kernels:
+            kernels[nu] = real(inp, nu)
+        return kernels[nu]
+
+    def counting(inp, nu):
+        calls.append(nu)
+        return shared(inp, nu)
+
+    monkeypatch.setattr(syz_mod, "graded_syzygy_kernel", counting)
+    monkeypatch.setattr(conftest, "graded_syzygy_kernel", shared)
+    # Columns (i, mu) in i-major order would meet a_1 = -B of a syzygy
+    # X0^(nu-k) (C, -B) at an X0 exponent above nu - k when X0 divides B.
+    cases = [(nvars, d, k, False) for nvars, d in ((3, 3), (3, 4), (3, 5),
+                                                    (3, 6), (4, 3))
+             for k in range(_counted(nvars + 1, nvars - 1, d))]
+    cases += [(3, d, k, True) for d in (3, 4) for k in range(1, d - 1)]
+    for nvars, d, k, x0_in_b in cases:
+        inp = _planted_map(F, rng, nvars, d, k, x0_in_b=x0_in_b)
+        kernels.clear()
+        calls.clear()
+        res = indeg_syzygy(inp)
+        assert calls == [k]
+        reference = upward_scan_indeg(inp)
+        assert res.indeg == reference.indeg == k, (nvars, d, k)
+        assert res.basis
+
+
+def test_a_rank_deficient_only_mod_p_sends_the_search_past_it(monkeypatch):
+    # Mod 2^31 - 1 the probe finds the planted syzygy at k > 0; over Q there
+    # is none, so the exact kernels at k, k + 1, ... below the counted degree
+    # are all empty, and counting settles indeg.
+    Q = RationalField()
+    rng = random.Random(58)
+    calls = []
+    real = syz_mod.graded_syzygy_kernel
+
+    def counting(inp, nu):
+        calls.append(nu)
+        return real(inp, nu)
+
+    monkeypatch.setattr(syz_mod, "graded_syzygy_kernel", counting)
+    for d, k in ((4, 1), (4, 2), (5, 2)):
+        inp = _planted_map(Q, rng, 3, d, k, perturb=True)
+        hit = _counted(4, 2, d)
+        assert syz_mod._deficient_block(inp, hit - 1) == k
+        calls.clear()
+        assert indeg_syzygy(inp).indeg == hit
+        assert calls == list(range(k, hit))
+        assert upward_scan_indeg(inp).indeg == hit
 
 
 def _singular_mod_p(F):
