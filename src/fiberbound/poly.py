@@ -22,8 +22,7 @@ back at the monomials of its degree.  A slot is wide enough for the sum it
 can receive, so no slot carries into the next.  Over F_p both paths hand
 the constructor the same unreduced sums; over Q the packed product runs
 modulo an odd n above twice every coefficient's size, and lifting each slot
-into (-n/2, n/2] gives the coefficient itself.  `unpack_slots` also
-reads the packed rows of `linalg._eliminate`.
+into (-n/2, n/2] gives the coefficient itself.
 """
 
 from __future__ import annotations

@@ -16,20 +16,32 @@ every M_k with k <= nu.  If its first pivotless column lies in block k (mu
 of X0 exponent nu - k), then every M_j with j < k has full column rank mod
 p, hence over Q too, and M_k is deficient mod p.  Probes at degrees 1, 2,
 4, ... (Bentley & Yao's unbounded search) stop at the first one with a
-pivotless column, and `graded_syzygy_kernel` builds the basis at its k.
+pivotless column.  That probe eliminates on to the end of block k, whose
+pivot count is the rank of M_k mod p, and `graded_syzygy_kernel` builds the
+basis at k with that rank, ranking nothing again.  Over Q the rank mod p is
+at most the rank over Q, so the basis size stays bounded by what it leaves.
 Degree 0 is never certified by counting, so a linearly dependent map comes
 back with its degree-0 basis, whose vectors are the linear relations.
+
+A probe keys each monomial e by the int sum e_j B^j, B = nu + d + 1: every
+exponent is below B, so the keys are distinct and key(e + mu) =
+key(e) + key(mu), and each cell of M_nu costs one addition, one dict lookup
+and one slice write of bytes computed once per term.  The rows reach
+`linalg._eliminate` whole; a row e of M_nu is zero in every column whose mu
+does not divide e, so the rows of low X0 exponent join the elimination late,
+at their first nonzero column, which leaves the pivot pattern unchanged: up
+to that column the row would only be shifted, since its factor there is 0.
 """
 
 from __future__ import annotations
 
 from math import comb, lcm
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import NoSyzygyFound, SyzygyCheckFailed
 from .jacobian import RationalMapInput
-from .linalg import first_pivotless, kernel_basis, rank_mod_p
+from .linalg import first_pivotless, kernel_basis, packing, rank_mod_p
 from .poly import MvPoly, monomials_of_degree
 
 
@@ -56,14 +68,16 @@ def _degree_matrix(inp: RationalMapInput, nu: int) -> tuple[list, list]:
     return source, rows
 
 
-def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> list:
+def graded_syzygy_kernel(inp: RationalMapInput, nu: int,
+                         rank: int | None = None) -> list:
     """Basis of the degree-nu syzygies, as (n+1)-tuples of MvPoly.
 
     A full `rank_mod_p` returns [] with no elimination; over Q that rank can
-    only understate the true one, so it certifies there too.  Otherwise one
-    `kernel_basis` RREF gives the basis.  Each tuple is re-multiplied as a
-    syzygy, and the basis size must equal the kernel dimension the rank
-    leaves over F_p, and be at most it over Q.
+    only understate the true one, so it certifies there too.  A caller that
+    has ranked M_nu mod p already, at `linalg.packing`'s prime, passes that
+    `rank` instead.  Otherwise one `kernel_basis` RREF gives the basis.
+    Each tuple is re-multiplied as a syzygy, and the basis size must equal
+    the kernel dimension the rank leaves over F_p, and be at most it over Q.
     """
     if nu < 0:
         raise ValueError("degree must be nonnegative")
@@ -72,7 +86,7 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> list:
     source, rows = _degree_matrix(inp, nu)
     k = len(source)
     ncols = len(inp.f) * k
-    r = rank_mod_p(F, rows)
+    r = rank_mod_p(F, rows) if rank is None else rank
     if r == ncols:
         return []
     basis = []
@@ -92,26 +106,45 @@ def graded_syzygy_kernel(inp: RationalMapInput, nu: int) -> list:
     return basis
 
 
-def _deficient_block(inp: RationalMapInput, nu: int) -> int | None:
-    """The least k <= nu whose M_k has deficient rank mod p (over Q, at
-    `first_pivotless`'s prime), or None: one forward elimination of M_nu with
-    its columns (mu, i) in the lex descending order of mu, which is by
-    decreasing X0 exponent.  Over Q each form is scaled by the lcm of its
-    denominators, which scales columns and keeps the rank."""
-    n1 = len(inp.f)
+def _deficient_block(inp: RationalMapInput, nu: int) -> tuple | None:
+    """(k, rank M_k) for the least k <= nu whose M_k has deficient rank mod p
+    (over Q, at `packing`'s prime), or None: one forward elimination of M_nu
+    with its columns (mu, i) in the lex descending order of mu, which is by
+    decreasing X0 exponent, run to the end of block k.  Over Q each form is
+    scaled by the lcm of its denominators, which scales columns and keeps
+    the rank."""
+    n1, m = len(inp.f), inp.m
     source = monomials_of_degree(inp.nvars, nu)
-    target = monomials_of_degree(inp.nvars, nu + inp.d)
-    index = {e: i for i, e in enumerate(target)}
+    # Every exponent is below B = nu + d + 1, so the keys sum e_j B^j of the
+    # rows' monomials are distinct, and key(e + mu) = key(e) + key(mu).
+    powers = [(nu + inp.d + 1) ** j for j in range(inp.nvars)]
+    targets = monomials_of_degree(inp.nvars, nu + inp.d)
+    p, width = packing(inp.field, len(targets))
+    size = n1 * len(source) * width
+    rows = {sum(map(mul, e, powers)): bytearray(size) for e in targets}
     forms = []
     for fi in inp.f:
         den = lcm(*(c.denominator for c in fi.terms.values()))
-        forms.append([(e, c.numerator * (den // c.denominator))
+        forms.append([(sum(map(mul, e, powers)),
+                       (c.numerator * (den // c.denominator) % p)
+                       .to_bytes(width, "little"))
                       for e, c in fi.terms.items()])
-    entries = ((index[tuple(map(add, e, mu))], j * n1 + i, c)
-               for j, mu in enumerate(source)
-               for i, terms in enumerate(forms) for e, c in terms)
-    c = first_pivotless(inp.field, len(target), n1 * len(source), entries)
-    return None if c is None else nu - source[c // n1][0]
+    at = 0
+    for mu in source:
+        shift = sum(map(mul, mu, powers))
+        for terms in forms:
+            column = slice(at, at + width)
+            # e -> e + mu is injective, so each cell receives one coefficient.
+            for key, cell in terms:
+                rows[key + shift][column] = cell
+            at += width
+    packed = [int.from_bytes(b, "little") for b in rows.values()]
+    found = first_pivotless(p, width, packed,
+                            [n1 * comb(k + m, m) for k in range(nu + 1)])
+    if found is None:
+        return None
+    c, r = found
+    return nu - source[c // n1][0], r
 
 
 def indeg_syzygy(inp: RationalMapInput) -> IndegResult:
@@ -119,21 +152,25 @@ def indeg_syzygy(inp: RationalMapInput) -> IndegResult:
     tuples (n+1) C(nu+m, m) than combinations C(nu+d+m, m) certify one by
     counting at `hit`, with no matrix.  Probes at degrees 1, 2, 4, ...,
     capped at hit - 1 (at d when counting certifies none), find the first
-    degree k deficient mod p, and `graded_syzygy_kernel` builds its basis.
-    Over Q the rank mod p may understate: when the exact kernel at k is
-    empty, each higher degree, all deficient mod p, goes to it in turn.  A
-    Koszul relation f_j e_i - f_i e_j makes the search succeed by d."""
+    degree k deficient mod p and the rank of M_k, and
+    `graded_syzygy_kernel` builds its basis with that rank.  Over Q the
+    rank mod p may understate: when the exact kernel at k is empty, each
+    higher degree, all deficient mod p, goes to it in turn.  A Koszul
+    relation f_j e_i - f_i e_j makes the search succeed by d."""
     m, d = inp.m, inp.d
     hit = next((nu for nu in range(1, d + 1)
                 if len(inp.f) * comb(nu + m, m) > comb(nu + d + m, m)), None)
     top = d if hit is None else hit - 1
     probe = 1
-    while (k := _deficient_block(inp, min(probe, top))) is None and probe < top:
+    while (found := _deficient_block(inp, min(probe, top))) is None \
+            and probe < top:
         probe *= 2
-    for nu in range(top + 1 if k is None else k, top + 1):
-        basis = graded_syzygy_kernel(inp, nu)
+    k, r = found or (top + 1, None)
+    for nu in range(k, top + 1):
+        basis = graded_syzygy_kernel(inp, nu, r)
         if basis:
             return IndegResult(indeg=nu, basis=basis)
+        r = None
     if hit is None:
         raise NoSyzygyFound("no syzygy found up to d despite the Koszul guarantee")
     return IndegResult(indeg=hit)

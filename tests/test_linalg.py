@@ -9,8 +9,8 @@ import pytest
 import fiberbound.linalg as linalg
 from fiberbound import PrimeField, RationalField
 from fiberbound.fields import DEFAULT_PRIME
-from fiberbound.linalg import (first_pivotless, kernel_basis, rank,
-                               rank_mod_p, rref)
+from fiberbound.linalg import (_pack, first_pivotless, kernel_basis,
+                               packing, rank, rank_mod_p, rref)
 
 from conftest import independent_rank_mod_p
 
@@ -105,21 +105,22 @@ def test_packed_rank_on_products_of_known_rank(F):
 
 @pytest.mark.parametrize("p", [2, 7, 101, DEFAULT_PRIME])
 def test_first_pivotless_is_the_first_dependent_column(p):
-    # The least c whose columns 0..c have rank c, from cells in any order,
-    # negative and unreduced; None when every column is independent.
+    # The least c whose columns 0..c have rank c, from rows packed with
+    # negative and unreduced entries; None when every column is independent.
+    # With one end at the last column, the rank returned is the whole rank.
     rng = random.Random(p + 1)
     seen = set()
     for _ in range(60):
         nrows, ncols = rng.randint(1, 12), rng.randint(1, 12)
         r = rng.randint(0, min(nrows, ncols))
         m = _known_rank(rng, nrows, ncols, r, lambda: rng.randint(-3 * p, 3 * p))
-        cells = [(i, c, x) for i, row in enumerate(m)
-                 for c, x in enumerate(row) if x]
-        rng.shuffle(cells)
         expected = next((c for c in range(ncols) if independent_rank_mod_p(
             p, [row[:c + 1] for row in m]) == c), None)
-        assert first_pivotless(SimpleNamespace(char=p), nrows, ncols,
-                               iter(cells)) == expected
+        _, width = packing(SimpleNamespace(char=p), nrows)
+        found = first_pivotless(p, width, [_pack(p, row, width) for row in m],
+                                [ncols])
+        assert (found if found is None else found[0]) == expected
+        assert found is None or found[1] == r
         seen.add(expected if expected is None else expected > 0)
     assert seen == {None, False, True}
 
@@ -167,3 +168,85 @@ def test_rational_rank_falls_back_when_the_prime_divides_a_minor(monkeypatch):
     calls.clear()
     assert rank(Q, [[Fraction(1, 3), Fraction(2)], [Fraction(0), Fraction(5, 7)]]) == 2
     assert calls == [2]
+
+
+def _slot_masks(width, nslots):
+    """(ones, evens) as `_eliminate` builds them for nslots slots."""
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * nslots, "little")
+    evens = int.from_bytes((b"\xff" * width).ljust(2 * width, b"\0")
+                           * (nslots // 2 + 1), "little")
+    return ones, evens
+
+
+PRIMES = [2, 3, 7, 101, DEFAULT_PRIME, 2 ** 61 - 1]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_the_pivot_reduction_is_the_slot_wise_remainder(p):
+    # Every slot below nrows p^2 comes out as its remainder mod p, in odd and
+    # even slot counts, at the edges 0, p - 1, p, 2p - 1 and nrows p^2 - 1,
+    # which a quotient one too high or too low, or no final subtraction,
+    # gets wrong.
+    rng = random.Random(p + 2)
+    for nrows in (1, 2, 17, 300):
+        _, width = packing(SimpleNamespace(char=p), nrows)
+        bits = 8 * width
+        edges = [0, p - 1, p, 2 * p - 1, nrows * p * p - 1]
+        for nslots in (1, 2, 5, 6, 11):
+            ones, evens = _slot_masks(width, nslots)
+            for _ in range(12):
+                slots = [rng.choice(edges) if rng.random() < 0.6
+                         else rng.randrange(nrows * p * p)
+                         for _ in range(nslots)]
+                x = sum(v << bits * i for i, v in enumerate(slots))
+                expected = sum(v % p << bits * i for i, v in enumerate(slots))
+                assert linalg._reduced(x, p, bits, ones, evens) == expected
+            top = nrows * p * p - 1
+            x = sum(top << bits * i for i in range(nslots))
+            assert linalg._reduced(x, p, bits, ones, evens) == \
+                sum(top % p << bits * i for i in range(nslots))
+
+
+def _staircase(rng, p, nrows, ncols):
+    """Rows with random runs of leading zeros, some of them zero rows, and a
+    few rows repeated as multiples of earlier ones."""
+    rows = []
+    for _ in range(nrows):
+        lead = rng.randint(0, ncols)
+        row = [0] * lead + [rng.randint(-3 * p, 3 * p) * (rng.random() < 0.8)
+                            for _ in range(ncols - lead)]
+        if rows and rng.random() < 0.3:
+            f = rng.randint(1, p)
+            row = [f * x + y for x, y in zip(rng.choice(rows), row)] \
+                if rng.random() < 0.5 else [f * x for x in rng.choice(rows)]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_packed_elimination_on_staircase_matrices(p):
+    # rank_mod_p and first_pivotless against the independent elimination, at
+    # row counts on both sides of the first step in the slot width.
+    F = SimpleNamespace(char=p)
+    step = next(n for n in range(2, 1 << 12)
+                if packing(F, n)[1] > packing(F, n - 1)[1])
+    rng = random.Random(p + 3)
+    for nrows in (1, 2, 3, 5, 9, step - 1, step):
+        for _ in range(4 if nrows < 100 else 1):
+            ncols = rng.randint(1, 12)
+            m = _staircase(rng, p, nrows, ncols)
+            r = independent_rank_mod_p(p, m)
+            assert rank_mod_p(F, m) == r
+            expected = next((c for c in range(ncols) if independent_rank_mod_p(
+                p, [row[:c + 1] for row in m]) == c), None)
+            _, width = packing(F, nrows)
+            ends = sorted(set(rng.sample(range(1, ncols + 1),
+                                         rng.randint(1, ncols))) | {ncols})
+            found = first_pivotless(p, width,
+                                    [_pack(p, row, width) for row in m], ends)
+            if expected is None:
+                assert found is None
+            else:
+                end = next(e for e in ends if e > expected)
+                assert found == (expected, independent_rank_mod_p(
+                    p, [row[:end] for row in m]))

@@ -11,7 +11,7 @@ from fiberbound import (CharDividesDegree, CommonFactor, MixedDegrees,
 from fiberbound.fields import (DEFAULT_PRIME, PrimeField, RationalField,
                                is_prime)
 from fiberbound.jacobian import RationalMapInput, jacobian_report
-from fiberbound.mapfile import POWER_BITS
+from fiberbound.mapfile import MAX_DEGREE, POWER_BITS
 
 EXAMPLE2 = """\
 # the degree-6 fixture
@@ -222,6 +222,43 @@ def test_a_rational_power_over_the_bit_limit_is_a_parse_error():
                  f"(2*X)^{POWER_BITS}", f"12^{10 ** 30}"):
         with pytest.raises(ParseError):
             parse_polynomial(expr, Q, ("X",))
+
+
+@pytest.mark.parametrize("field", ["", "field rational\n"], ids=["fp", "q"])
+@pytest.mark.parametrize("forms, col", [
+    ("f0 (X+Y)^100000000\nf1 Y^2\nf2 Z^2\n", 10),
+    ("f0 X^100000000\nf1 Y^100000000\nf2 Z^100000000\n", 6)],
+    ids=["multi-term", "one-term"])
+def test_a_power_above_the_degree_ceiling_is_refused_at_once(field, forms,
+                                                             col):
+    # Neither map finished before: the first in parsing, the second in
+    # analysis.  Each is refused at its first exponent.
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_map_file(field + "vars X Y Z\n" + forms)
+    assert time.perf_counter() - start < 1
+    assert (exc.value.line, exc.value.col) == (2 + bool(field), col)
+    assert str(exc.value).startswith(f"power has degree above {MAX_DEGREE}")
+
+
+def test_the_degree_ceiling_bounds_every_form():
+    # The degree of a power is the exponent times the base's degree, so a
+    # constant base takes any exponent; a product of two multi-term factors
+    # is checked before it is expanded, and a whole form after it is built.
+    Q = RationalField()
+    for F in (PrimeField(), Q):
+        ok = parse_polynomial(
+            f"X^{MAX_DEGREE} + 1^{10 ** 30}*(X+Y)^{MAX_DEGREE}", F, ("X", "Y"))
+        assert ok.total_degree() == MAX_DEGREE
+    for expr, col in ((f"X^{MAX_DEGREE + 1}", 3),
+                      (f"(X*Y)^{MAX_DEGREE // 2 + 1}", 7),
+                      (f"(X+Y)^{MAX_DEGREE} * (X+Y)", 10),
+                      ("X*" * MAX_DEGREE + "Y", None),
+                      (f"X^{MAX_DEGREE}*Y", None)):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(expr, Q, ("X", "Y"))
+        assert exc.value.col == col, expr
+        assert f"degree above {MAX_DEGREE}" in str(exc.value)
 
 
 def test_overlong_field_modulus_is_its_own_parse_error():

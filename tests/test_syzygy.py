@@ -1,11 +1,13 @@
 """Graded syzygy kernels: Koszul cases, paper fixtures, independent rank check."""
 
 import random
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
 import fiberbound.linalg as linalg_mod
+import fiberbound.poly as poly_mod
 import fiberbound.syzygy as syz_mod
 from fiberbound import (DEFAULT_PRIME, MvPoly, PrimeField, RationalField,
                         RationalMapInput, graded_syzygy_kernel, indeg_syzygy,
@@ -248,7 +250,7 @@ def test_dense_maps_hit_at_the_counted_degree(field, monkeypatch):
         probes.append(nu)
         return real(inp, nu)
 
-    def no_kernel(inp, nu):
+    def no_kernel(inp, nu, rank=None):
         raise AssertionError(f"kernel built at degree {nu}")
 
     monkeypatch.setattr(syz_mod, "_deficient_block", counting)
@@ -299,14 +301,14 @@ def test_planted_syzygies_of_every_degree_below_the_hit(F, monkeypatch):
     kernels = {}
     real = syz_mod.graded_syzygy_kernel
 
-    def shared(inp, nu):
+    def shared(inp, nu, rank=None):
         if nu not in kernels:
-            kernels[nu] = real(inp, nu)
+            kernels[nu] = real(inp, nu, rank)
         return kernels[nu]
 
-    def counting(inp, nu):
+    def counting(inp, nu, rank=None):
         calls.append(nu)
-        return shared(inp, nu)
+        return shared(inp, nu, rank)
 
     monkeypatch.setattr(syz_mod, "graded_syzygy_kernel", counting)
     monkeypatch.setattr(conftest, "graded_syzygy_kernel", shared)
@@ -336,15 +338,15 @@ def test_a_rank_deficient_only_mod_p_sends_the_search_past_it(monkeypatch):
     calls = []
     real = syz_mod.graded_syzygy_kernel
 
-    def counting(inp, nu):
+    def counting(inp, nu, rank=None):
         calls.append(nu)
-        return real(inp, nu)
+        return real(inp, nu, rank)
 
     monkeypatch.setattr(syz_mod, "graded_syzygy_kernel", counting)
     for d, k in ((4, 1), (4, 2), (5, 2)):
         inp = _planted_map(Q, rng, 3, d, k, perturb=True)
         hit = _counted(4, 2, d)
-        assert syz_mod._deficient_block(inp, hit - 1) == k
+        assert syz_mod._deficient_block(inp, hit - 1)[0] == k
         calls.clear()
         assert indeg_syzygy(inp).indeg == hit
         assert calls == list(range(k, hit))
@@ -391,3 +393,56 @@ def test_equal_counts_certify_nothing(field):
     dependent = RationalMapInput.create(field, [x0 * x0, x1 * x1,
                                                 x0 * x0 + x1 * x1])
     assert indeg_syzygy(dependent).indeg == 0
+
+
+def test_a_probe_reads_no_slot_in_python(field, monkeypatch):
+    # The Macaulay rows are assembled by slice writes and eliminated on
+    # whole packed rows: no entry is packed one at a time, and no row is
+    # unpacked into slots.
+    def boom(*args):
+        raise AssertionError("per-slot packing or unpacking")
+
+    monkeypatch.setattr(linalg_mod, "_pack", boom)
+    monkeypatch.setattr(linalg_mod, "unpack_slots", boom, raising=False)
+    monkeypatch.setattr(poly_mod, "unpack_slots", boom)
+    inp = _dense_map(field, random.Random(59), 6)
+    assert syz_mod._deficient_block(inp, 4) is None
+    assert indeg_syzygy(inp).indeg == 5
+
+
+@pytest.mark.parametrize("F", [PrimeField(), RationalField()], ids=["fp", "q"])
+def test_the_probe_hands_its_rank_to_the_kernel(F, monkeypatch):
+    # The probe that finds example2's block 2 ranks M_2 on the way, so the
+    # kernel step ranks nothing again; the basis still has the size that
+    # rank leaves, which a rank one too high would contradict.
+    def no_rank(F, rows):
+        raise AssertionError("rank_mod_p called")
+
+    inp = make_example2(F)
+    k, r = syz_mod._deficient_block(inp, 2)
+    m2 = _integral(_assemble_matrix_independently(inp, 2))
+    assert (k, r) == (2, independent_rank_mod_p(F.char or DEFAULT_PRIME, m2))
+    monkeypatch.setattr(syz_mod, "rank_mod_p", no_rank)
+    res = indeg_syzygy(inp)
+    assert res.indeg == 2 and len(res.basis) == 4 * comb(2 + 2, 2) - r
+
+
+def _integral(rows):
+    """Each column scaled by the lcm of its denominators."""
+    dens = [lcm(*(Fraction(x).denominator for x in col)) for col in zip(*rows)]
+    return [[int(x * den) for x, den in zip(row, dens)] for row in rows]
+
+
+def test_a_small_indeg_costs_one_probe(monkeypatch):
+    # make_family(30) has a linear syzygy; the first probe, at degree 1,
+    # finds it, and no larger matrix is built.
+    probes = []
+    real = syz_mod._deficient_block
+
+    def counting(inp, nu):
+        probes.append(nu)
+        return real(inp, nu)
+
+    monkeypatch.setattr(syz_mod, "_deficient_block", counting)
+    assert indeg_syzygy(make_family(30)).indeg == 1
+    assert probes == [1]
