@@ -20,7 +20,8 @@ from .fibers import (BoundChainReport, DiscoveryResult, FiberRecord,
                      ProjectivePoint, RankCheck, discover_fibers,
                      fiber_equation, tangent_rank_check, verify_bound_chain)
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
-from .gcd import gcd_multivariate, squarefree_decompose, squarefree_part
+from .gcd import (gcd_cofactors, gcd_multivariate, squarefree_decompose,
+                  squarefree_part)
 from .jacobian import (EulerSyzygy, JacobianReport, Minor, RationalMapInput,
                        build_jacobian, euler_syzygy, fitting_invariance_check,
                        gcd_of_minors, generic_finiteness_check,

@@ -1,19 +1,26 @@
 """Multivariate GCD and square-free decomposition over an exact field.
 
-`gcd_multivariate(*polys)` is the one entry point: it ignores zero inputs
-and folds the binary gcd over the rest, stopping once the gcd is constant.
-F, each fiber equation h_y and the derivative gcd are such folds, and the
-PRS's content gcds use the same fold without the final normalisation.
+`gcd_multivariate(*polys)` and `gcd_cofactors(*polys)` are the entry
+points; the second also returns each input's exact quotient by the gcd, its
+cofactor.  Both ignore zero inputs, pull out the shared monomial content,
+exponentwise, and fold the binary gcd over the rest, stopping once the gcd
+is constant.  F, each fiber equation h_y and the derivative gcd are such
+folds, and the PRS's content gcds use the same fold without the final
+normalisation.  Once the fold has a gcd g, each further input b is first
+divided by g: g | b implies gcd(g, b) = g, so a division that succeeds
+stands in for a gcd run and its quotient is b's cofactor.  Only when it
+fails does the binary gcd run, and the earlier cofactors are multiplied by
+g_old / g_new.
 
-The binary gcd first pulls out the shared monomial content, exponentwise,
-then runs Brown's evaluation/interpolation gcd (Brown 1971; von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 6) over either field.  Two forms are
-dehomogenised at X0 = 1, other inputs keep every variable.  The last
-variable is evaluated at seeded points, the images' gcds are taken
+The binary gcd is Brown's evaluation/interpolation gcd (Brown 1971; von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 6) over either field.  Two
+forms are dehomogenised at X0 = 1, other inputs keep every variable.  The
+last variable is evaluated at seeded points, the images' gcds are taken
 recursively down to univariate Euclid, interpolated, and certified by trial
-division.  A lucky image that is constant certifies that the gcd lies in
-the evaluated variable alone (it is the gcd of the contents), so coprime
-inputs cost one point per level.
+division of the gcd into both inputs; the quotients of those divisions are
+the cofactors, so nothing is divided twice.  A lucky image that is constant
+certifies that the gcd lies in the evaluated variable alone (it is the gcd
+of the contents), so coprime inputs cost one point per level.
 
 Over Q the integer points never run out.  Over F_p a level draws each of
 the p points at most once; when they are exhausted (only a small p allows
@@ -25,7 +32,8 @@ contents are constants).  The PRS is also the tests' reference for Brown's
 gcd.
 
 Square-free decomposition iterates gcds with the partial derivatives
-(Yun 1976) in every characteristic.  Over F_p that loop misses only a p-th
+(Yun 1976) in every characteristic, and reads every quotient it needs off
+the cofactors.  Over F_p that loop misses only a p-th
 power b^p, and b is read off by dividing every exponent by p, since
 Frobenius fixes F_p (Gianni & Trager 1996).
 """
@@ -35,6 +43,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .errors import NotDivisible
 from .poly import MvPoly
 from .univariate import _inv, u_deg, u_divmod, u_eval, u_gcd, u_mul, u_reduce
 
@@ -52,58 +61,88 @@ def gcd_multivariate(*polys: MvPoly) -> MvPoly:
     Zero inputs are ignored; at least one input must be nonzero.  The
     result divides every input exactly and any common divisor divides it.
     """
+    return _gcd_of(polys)[0].monic()
+
+
+def gcd_cofactors(*polys: MvPoly) -> tuple[MvPoly, list]:
+    """`gcd_multivariate`'s g with the exact quotients [p_i / g], a zero
+    input's quotient being 0."""
+    g, cof = _gcd_of(polys, True)
+    lc = g.leading_coefficient()
+    it = iter(cof if lc == 1 else [q.scale(lc) for q in cof])
+    return g.monic(), [next(it) if a else a for a in polys]
+
+
+def _gcd_of(polys, cofactors: bool = False) -> tuple:
+    """(g, [p_i / g]) for the unnormalised gcd g of the nonzero p_i; without
+    `cofactors` only g is to be read.
+
+    The shared monomial content X^s, the exponentwise least, comes out
+    first: g = X^s gcd(p_i / X^(m_i)), m_i the content of p_i.  The rest is
+    a fold in order, with an early exit once it is constant.
+    """
     for b in polys[1:]:
         polys[0]._check(b)
-    nonzero = [a for a in polys if not a.is_zero()]
-    if not nonzero:
+    polys = [a for a in polys if a]
+    if not polys:
         raise ValueError("gcd of zero polynomials is undefined")
-    return _gcd_of(nonzero).monic()
-
-
-def _gcd_of(polys: list) -> MvPoly:
-    """Unnormalised gcd of nonzero polynomials, folded in order with an
-    early exit once it is constant."""
-    g = polys[0]
-    for b in polys[1:]:
+    mins = [a.min_exponents() for a in polys]
+    shared = tuple(map(min, zip(*mins)))
+    g, cof = _shift(polys[0], [-k for k in mins[0]]), None
+    for a, m in zip(polys[1:], mins[1:]):
         if g.is_constant():
             break
-        g = _gcd(g, b)
-    return g
+        b = _shift(a, [-k for k in m])
+        if cof is not None:     # g is a gcd, and g | b gives gcd(g, b) = g
+            try:
+                cof.append(b.exact_div(g))
+                continue
+            except NotDivisible:
+                pass
+        g, qg, qb = _gcd_core(g, b, cofactors)
+        cof = [qg, qb] if cof is None or not cofactors else \
+            [c * qg for c in cof] + [qb]
+    if g.is_constant():
+        g = MvPoly.one(g.field, g.nvars)
+        cof = [_shift(a, [-k for k in shared]) for a in polys] if cofactors \
+            else None
+    elif cofactors:
+        cof = [_shift(c, [x - y for x, y in zip(m, shared)])
+               for c, m in zip(cof or [MvPoly.one(g.field, g.nvars)], mins)]
+    return _shift(g, shared), cof
 
 
-def _gcd(a: MvPoly, b: MvPoly) -> MvPoly:
-    """Unnormalised gcd of two nonzero polynomials."""
-    ma, mb = a.min_exponents(), b.min_exponents()
-    shared = tuple(map(min, ma, mb))
-    if any(ma):
-        a = a.shift([-k for k in ma])
-    if any(mb):
-        b = b.shift([-k for k in mb])
-    g = _gcd_core(a, b)
-    if any(shared):
-        g = g.shift(shared)
-    return g
+def _shift(a: MvPoly, e) -> MvPoly:
+    """a times the monomial X^e, whose exponents may be negative."""
+    return a.shift(e) if any(e) else a
 
 
-def _gcd_core(a: MvPoly, b: MvPoly) -> MvPoly:
-    """GCD of nonzero polynomials that carry no monomial content."""
-    one = MvPoly.one(a.field, a.nvars)
-    if a.is_constant() or b.is_constant():
-        return one
-    va, vb = set(a.variables_present()), set(b.variables_present())
-    common = sorted(va & vb)
+def _gcd_core(a: MvPoly, b: MvPoly, quotients: bool) -> tuple:
+    """(g, a / g, b / g) for the unnormalised gcd g of two nonzero
+    polynomials that carry no monomial content; without `quotients` only g
+    is to be read."""
+    common = sorted(set(a.variables_present()) & set(b.variables_present()))
     if not common:
-        # Divisors of a poly involve only its own variables, so nothing is shared.
-        return one
+        # Divisors of a poly involve only its own variables, so a constant
+        # or two polys in disjoint variables share nothing.
+        return MvPoly.one(a.field, a.nvars), a, b
     try:
-        return _brown(a, b)
+        return _brown(a, b, quotients)
     except _PointsExhausted:
         pass
+    g = _prs(a, b, min(common, key=lambda j: min(a.degree_in(j),
+                                                 b.degree_in(j))))
+    if not quotients:
+        return g, None, None
+    return g, a.exact_div(g), b.exact_div(g)
 
-    v = min(common, key=lambda j: min(a.degree_in(j), b.degree_in(j)))
+
+def _prs(a: MvPoly, b: MvPoly, v: int) -> MvPoly:
+    """gcd of polynomials with no monomial content that share variable v,
+    by the primitive PRS in v."""
     ca, pa = _content_and_primitive(a, v)
     cb, pb = _content_and_primitive(b, v)
-    cg = _gcd(ca, cb)
+    cg = _gcd_of([ca, cb])[0]
 
     f, g = (pa, pb) if pa.degree_in(v) >= pb.degree_in(v) else (pb, pa)
     while True:
@@ -136,7 +175,7 @@ def _content_and_primitive(a: MvPoly, v: int) -> tuple[MvPoly, MvPoly]:
     """Content and primitive part of a in v, both monic; the content is 1
     when it is constant."""
     coeffs = _coeffs_in(a, v)
-    c = _gcd_of([cf for _, cf in sorted(coeffs.items())])
+    c = _gcd_of([cf for _, cf in sorted(coeffs.items())])[0]
     if c.is_constant():
         return MvPoly.one(a.field, a.nvars), a.monic()
     c = c.monic()
@@ -169,28 +208,35 @@ def _prem(f: MvPoly, g: MvPoly, v: int) -> MvPoly:
     return r
 
 
-def _brown(a: MvPoly, b: MvPoly) -> MvPoly:
-    """gcd of nonzero polynomials with no monomial content (Brown 1971).
+def _brown(a: MvPoly, b: MvPoly, quotients: bool = False) -> tuple:
+    """`_gcd_core` by Brown's gcd (Brown 1971).
 
-    Two forms are dehomogenised at X0 = 1: X0 divides neither, so no common
-    factor is lost, and the gcd is rehomogenised to its total degree.  Other
-    inputs keep all their variables, moved to slots 1..nvars.  Raises
-    _PointsExhausted when F_p has too few points.
+    Two forms are dehomogenised at X0 = 1 (cut = 1): X0 divides neither, so
+    no common factor is lost, and the gcd and the quotients get X0 back up
+    to their total degrees k.  Other inputs (cut = 0) keep all their
+    variables, moved to slots 1..nvars.  Raises _PointsExhausted when F_p
+    has too few points.
     """
     F, n = a.field, a.nvars
-    if a.is_homogeneous() and b.is_homogeneous():
-        g = _brown_level({(0,) + e[1:]: c for e, c in a.terms.items()},
-                         {(0,) + e[1:]: c for e, c in b.terms.items()}, n - 1, F)
-        d = max(map(sum, g))
-        return MvPoly(F, n, {(d - sum(e),) + e[1:]: c for e, c in g.items()})
-    g = _brown_level({(0,) + e: c for e, c in a.terms.items()},
-                     {(0,) + e: c for e, c in b.terms.items()}, n, F)
-    return MvPoly(F, n, {e[1:]: c for e, c in g.items()})
+    cut = int(a.is_homogeneous() and b.is_homogeneous())
+    g, qa, qb = _brown_level(*({(0,) + e[cut:]: c for e, c in t.terms.items()}
+                               for t in (a, b)), n - cut, F, quotients)
+    d = max(map(sum, g))
+    if not d:   # g = 1
+        return MvPoly.one(F, n), a, b
+
+    def back(t: dict, k: int) -> MvPoly:    # forms get X0 back up to degree k
+        return MvPoly(F, n, {(k - sum(e),)[:cut] + e[1:]: c for e, c in t.items()})
+    if not quotients:
+        return back(g, d), None, None
+    return back(g, d), back(qa, a.total_degree() - d), \
+        back(qb, b.total_degree() - d)
 
 
-def _brown_level(a: dict, b: dict, k: int, F) -> dict:
-    """gcd of nonzero term maps in X1..Xk (slot 0 unused), by evaluation and
-    interpolation in y = Xk.
+def _brown_level(a: dict, b: dict, k: int, F, quotients: bool = False) -> tuple:
+    """(g, a / g, b / g) for the gcd g of nonzero term maps in X1..Xk (slot
+    0 unused), by evaluation and interpolation in y = Xk.  Only g is to be
+    read without `quotients`, and the images compute no quotient.
 
     The inputs are split into coefficients in F[y] of monomials in
     X1..X(k-1).  The gcd is gcd(contents) times the gcd of the primitive
@@ -200,16 +246,25 @@ def _brown_level(a: dict, b: dict, k: int, F) -> dict:
     means every earlier point was unlucky.  Lucky images, made monic and
     scaled by gamma(y0), gamma the gcd of the leading coefficients,
     interpolate gamma/lc * gcd once there are deg gamma + min deg_y + 1 of
-    them; its primitive part is the gcd when it divides both inputs.
+    them; its primitive part times the content gcd is the gcd when it
+    divides both inputs, and those trial divisions are the quotients.
     """
     p = F.char
     A, B = _split(a, k), _split(b, k)
     if k == 1:
         (x, ua), = A.items()
-        return _join({x: u_gcd(ua, B[x], p)}, k)
+        g = u_gcd(ua, B[x], p)
+        if not quotients:
+            return _join({x: g}, k), None, None
+        return tuple(_join({x: row}, k) for row in
+                     (g, u_divmod(ua, g, p)[0], u_divmod(B[x], g, p)[0]))
     ca, cb = _u_content(A.values(), p), _u_content(B.values(), p)
     cg = u_gcd(ca, cb, p)
     A, B = _u_divide(A, ca, p), _u_divide(B, cb, p)
+
+    def times(rows: dict, c: list) -> dict:
+        return _join({x: u_reduce(u_mul(row, c), p) for x, row in rows.items()}, k)
+
     la, lb = A[max(A)], B[max(B)]
     gamma = u_gcd(la, lb, p)
     need = u_deg(gamma) + min(max(map(len, A.values())), max(map(len, B.values())))
@@ -217,10 +272,13 @@ def _brown_level(a: dict, b: dict, k: int, F) -> dict:
     for y0 in _evaluation_points(p, k):
         if not (u_eval(la, y0, p) and u_eval(lb, y0, p)):
             continue
-        g = _brown_level(_image(A, y0, p), _image(B, y0, p), k - 1, F)
+        g = _brown_level(_image(A, y0, p), _image(B, y0, p), k - 1, F)[0]
         top = max(g)
         if not any(top):
-            return _join({top: cg}, k)
+            if not quotients or len(cg) == 1:
+                return _join({top: cg}, k), a, b
+            return (_join({top: cg}, k), times(A, u_divmod(ca, cg, p)[0]),
+                    times(B, u_divmod(cb, cg, p)[0]))
         if lead is None or top < lead:
             lead, H, q = top, {}, [1]
         elif top > lead:
@@ -238,11 +296,13 @@ def _brown_level(a: dict, b: dict, k: int, F) -> dict:
                 H[x] = u_reduce([u + r * c for u, c in zip(row, q)], p)
         q = u_reduce(u_mul(q, [-y0, 1]), p)
         if len(q) > need:
-            P = _u_divide(H, _u_content(H.values(), p), p)
-            cand = _join(P, k)
-            if _divides(cand, a, F) and _divides(cand, b, F):
-                return _join({x: u_reduce(u_mul(row, cg), p)
-                              for x, row in P.items()}, k)
+            cand = _u_divide(H, _u_content(H.values(), p), p)
+            g = times(cand, cg)
+            qa = _quotient(a, g, F)
+            if qa is not None:
+                qb = _quotient(b, g, F)
+                if qb is not None:
+                    return g, qa, qb
             lead = None
     raise _PointsExhausted
 
@@ -294,9 +354,13 @@ def _u_divide(rows: dict, c: list, p: int) -> dict:
     return {x: u_divmod(row, c, p)[0] for x, row in rows.items()}
 
 
-def _divides(g: dict, t: dict, F) -> bool:
+def _quotient(t: dict, g: dict, F) -> dict | None:
+    """The terms of t / g when g divides t, else None: Brown's certificate."""
     nvars = len(next(iter(t)))
-    return MvPoly(F, nvars, g).divides(MvPoly(F, nvars, t))
+    try:
+        return MvPoly(F, nvars, t).exact_div(MvPoly(F, nvars, g)).terms
+    except NotDivisible:
+        return None
 
 
 def squarefree_part(a: MvPoly) -> MvPoly:
@@ -318,16 +382,15 @@ def squarefree_decompose(a: MvPoly) -> list[tuple[MvPoly, int]]:
         raise ValueError("cannot decompose the zero polynomial")
     if a.is_constant():
         return []
-    c = _derivative_gcd(a)          # prod p_i^(e_i - 1), times b^p over F_p
-    w = a.exact_div(c).monic()      # prod p_i
+    c, w = _derivative_gcd(a)   # prod p_i^(e_i - 1), times b^p over F_p
+    w = w.monic()               # a / c = prod p_i
     parts = []
     e = 1
     while not w.is_constant():
-        w_next = gcd_multivariate(c, w)
-        part = w.exact_div(w_next).monic()
+        w_next, (c, part) = gcd_cofactors(c, w)
+        part = part.monic()
         if part.total_degree() > 0:
             parts.append((part, e))
-        c = c.exact_div(w_next)
         w = w_next
         e += 1
     if c.is_constant():
@@ -341,14 +404,23 @@ def squarefree_decompose(a: MvPoly) -> list[tuple[MvPoly, int]]:
     return sorted(parts, key=lambda pe: pe[1])
 
 
-def _derivative_gcd(a: MvPoly) -> MvPoly:
-    """gcd(a, da/dX_0, ..., da/dX_m), monic.
+def _derivative_gcd(a: MvPoly) -> tuple[MvPoly, MvPoly]:
+    """(c, a / c) for c = gcd(a, da/dX_0, ..., da/dX_m), monic.
 
     A form of degree prime to p needs no a: deg a * a = sum X_j da/dX_j
-    (Euler), so the partials' gcd divides a.
+    (Euler), so the partials' gcd divides a, and a / c is that sum over the
+    partials' cofactors, divided by deg a.
     """
-    p = a.field.char
-    partials = [a.derivative(j) for j in range(a.nvars)]
+    p, n = a.field.char, a.nvars
+    partials = [a.derivative(j) for j in range(n)]
     if a.is_homogeneous() and (not p or a.total_degree() % p):
-        return gcd_multivariate(*partials)
-    return gcd_multivariate(a, *partials)
+        c, cof = gcd_cofactors(*partials)
+        inv = a.field.inv(a.total_degree())
+        terms: dict = {}
+        for j, q in enumerate(cof):
+            for e, v in q.terms.items():
+                e = e[:j] + (e[j] + 1,) + e[j + 1:]
+                terms[e] = terms.get(e, 0) + v * inv
+        return c, MvPoly(a.field, n, terms)
+    c, cof = gcd_cofactors(a, *partials)
+    return c, cof[0]

@@ -8,7 +8,9 @@ maximal minors assemble into a syzygy of the f_i of degree 3(d-1) - deg F.
 `jacobian_report` first tries to prove F = 1 on one line; only when the
 line proves nothing does it expand the 3-minors, once, and F, the flag
 I_{m+1}(J) != 0 (on P^2 the top minors are the 3-minors) and the Euler
-syzygy read them off the report.
+syzygy read them off the report.  F's gcd hands back each minor's cofactor
+M_i / F, and the Euler syzygy is made of those, so no minor is divided
+twice.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from .errors import (AllMinorsZero, ArityMismatch, BadInput,
                      MixedDegrees, NotDivisible, NotHomogeneous,
                      SingularChange, SOutOfRange)
 from .fields import PrimeField
-from .gcd import gcd_multivariate
+from .gcd import gcd_cofactors, gcd_multivariate
 from .linalg import rank, rank_mod_p
 # Kept bound here: bench/trace_layers.py wraps jacobian.kernel_basis.
 from .linalg import kernel_basis  # noqa: F401
 from .poly import MvPoly
-from .univariate import u_gcd, u_mul, u_reduce
+from .univariate import u_add, u_gcd, u_mul, u_reduce, u_sub
 
 # The line test's prime over Q, where it runs on the coefficients mod q.
 _LINE_PRIME = 2 ** 31 - 1
@@ -118,20 +120,24 @@ def _index_sets(jac: list, s: int) -> list:
             for cols in itertools.combinations(range(len(jac[0])), s)]
 
 
-def _det(jac: list, rows: tuple, cols: tuple, memo: dict) -> MvPoly:
-    """The minor of jac on rows x cols, expanded along its first row; memo
+def _det(jac: list, rows: tuple, cols: tuple, memo: dict, ring=None):
+    """The minor of jac on rows x cols, expanded along its first row in the
+    ring (zero, mul, add, sub) of its entries, by default `MvPoly`'s; memo
     keeps the sub-minors by (rows, cols), so minors that share one compute
     it once."""
     if len(rows) == 1:
         return jac[rows[0]][cols[0]]
     if (rows, cols) not in memo:
-        acc = MvPoly.zero(jac[0][0].field, jac[0][0].nvars)
+        acc, mul, add, sub = ring or (
+            MvPoly.zero(jac[0][0].field, jac[0][0].nvars), MvPoly.__mul__,
+            MvPoly.__add__, MvPoly.__sub__)
         for j, col in enumerate(cols):
             entry = jac[rows[0]][col]
-            if entry.is_zero():
+            if not entry:
                 continue
-            term = entry * _det(jac, rows[1:], cols[:j] + cols[j + 1:], memo)
-            acc = acc - term if j % 2 else acc + term
+            term = mul(entry, _det(jac, rows[1:], cols[:j] + cols[j + 1:],
+                                   memo, ring))
+            acc = sub(acc, term) if j % 2 else add(acc, term)
         memo[rows, cols] = acc
     return memo[rows, cols]
 
@@ -147,11 +153,13 @@ def minors(jac: list, s: int) -> list:
             for rows, cols in _index_sets(jac, s)]
 
 
-def gcd_of_minors(minors3) -> MvPoly:
-    """GCD of the given minors, monic; AllMinorsZero when every minor vanishes."""
+def gcd_of_minors(minors3, cofactors: bool = False):
+    """GCD of the given minors, monic; AllMinorsZero when every minor
+    vanishes.  With `cofactors`, (F, [M_i / F]) as `gcd_cofactors` gives it."""
     if all(mn.poly.is_zero() for mn in minors3):
         raise AllMinorsZero("I_3(J(f)) = 0: every 3-minor vanishes")
-    return gcd_multivariate(*(mn.poly for mn in minors3))
+    return (gcd_cofactors if cofactors else gcd_multivariate)(
+        *(mn.poly for mn in minors3))
 
 
 def _residue(c, q: int) -> int:
@@ -192,8 +200,8 @@ class _Line:
                 value += c
         return value % q
 
-    def restrict(self, f: MvPoly) -> MvPoly:
-        """f∘L mod q, a polynomial in t (the one variable of its ring)."""
+    def restrict(self, f: MvPoly) -> list:
+        """f∘L mod q, dense in t."""
         q = self.field.char
         acc = [0] * (f.total_degree() + 1)
         for e, c in f.terms.items():
@@ -210,12 +218,12 @@ class _Line:
             c = _residue(c, q)
             for i, v in enumerate(mono):
                 acc[i] += c * v
-        return MvPoly(self.field, 1, {(i,): v for i, v in enumerate(acc)})
+        return u_reduce(acc, q)
 
 
 def _line_proof(inp: RationalMapInput, jac: list):
     """(L, [U_i]) when one line L proves F = 1, else None; the U_i = M_i∘L
-    are the restricted 3-minors mod q, in `minors` order.
+    are the restricted 3-minors mod q, dense in t, in `minors` order.
 
     F∘L divides every U_i.  If some U_i has the full degree 3(d-1), its top
     coefficient M_i(b) is nonzero, so F(b) != 0 and deg F∘L = deg F; if the
@@ -242,19 +250,19 @@ def _line_proof(inp: RationalMapInput, jac: list):
     full = 3 * (inp.d - 1)
     rjac = [[line.restrict(entry) for entry in row] for row in jac]
     memo: dict = {}
-    u, g = [], None    # g: the gcd of the first nonzero U_i, dense
+    ring = ([], u_mul, lambda x, y: u_add(x, y, q), lambda x, y: u_sub(x, y, q))
+    u, g = [], None    # g: the gcd of the first nonzero U_i
     for rows, cols in _index_sets(jac, 3):
-        ui = _det(rjac, rows, cols, memo)
+        ui = _det(rjac, rows, cols, memo, ring)
         u.append(ui)
-        if ui.is_zero() or (g is not None and len(g) == 1):
+        if not ui or (g is not None and len(g) == 1):
             continue
-        if ui.total_degree() < full:
+        if len(ui) <= full:
             return None
-        dense = [ui.terms.get((k,), 0) for k in range(full + 1)]
         if g is None:
-            g = dense
+            g = ui
         else:
-            g = u_gcd(g, dense, q)
+            g = u_gcd(g, ui, q)
             if len(g) > 1:
                 return None
     return (line, u) if g is not None and len(g) == 1 else None
@@ -264,26 +272,41 @@ class JacobianReport:
     """What `jacobian_report` found: F (None when every 3-minor vanishes),
     the flag I_{m+1}(J) != 0, and which 3-minors are nonzero, in `minors`
     order.  When a line proved F = 1, `line` holds that line with the
-    restricted minors U_i, and `minors3` is expanded on first read."""
+    restricted minors U_i, and `minors3` is expanded on first read.
+    `cofactors` are the quotients M_i / F, in `minors` order: those of F's
+    gcd when `jacobian_report` computed F, else divided out on first read
+    (FDoesNotDivideMinor when F does not divide a minor)."""
 
     __slots__ = ("jac", "F", "i_top_nonzero", "minor_nonzero", "line",
-                 "_minors3")
+                 "_minors3", "_cofactors")
 
     def __init__(self, jac: list, F: MvPoly | None, i_top_nonzero: bool,
                  minor_nonzero: tuple, line: tuple | None = None,
-                 minors3: list | None = None):
+                 minors3: list | None = None, cofactors: list | None = None):
         self.jac = jac
         self.F = F
         self.i_top_nonzero = i_top_nonzero
         self.minor_nonzero = minor_nonzero
         self.line = line
         self._minors3 = minors3
+        self._cofactors = cofactors
 
     @property
     def minors3(self) -> list:
         if self._minors3 is None:
             self._minors3 = minors(self.jac, 3)
         return self._minors3
+
+    @property
+    def cofactors(self) -> list:
+        if self._cofactors is None:
+            try:
+                self._cofactors = [mn.poly.exact_div(self.F)
+                                   for mn in self.minors3]
+            except NotDivisible as exc:
+                raise FDoesNotDivideMinor(
+                    f"F does not divide a signed minor: {exc}") from exc
+        return self._cofactors
 
     @property
     def degF(self) -> int | None:
@@ -308,12 +331,12 @@ def jacobian_report(inp: RationalMapInput) -> JacobianReport:
     if proof is None:
         m3 = minors(jac, 3)
         nonzero = tuple(not mn.poly.is_zero() for mn in m3)
-        F = gcd_of_minors(m3) if any(nonzero) else None
+        F, cof = gcd_of_minors(m3, True) if any(nonzero) else (None, None)
         return JacobianReport(jac, F,
                               generic_finiteness_check(inp, jac, any(nonzero)),
-                              nonzero, minors3=m3)
+                              nonzero, minors3=m3, cofactors=cof)
     memo: dict = {}
-    nonzero = tuple(not ui.is_zero() or not _det(jac, rows, cols, memo).is_zero()
+    nonzero = tuple(bool(ui) or bool(_det(jac, rows, cols, memo))
                     for ui, (rows, cols) in zip(proof[1], _index_sets(jac, 3)))
     return JacobianReport(jac, MvPoly.one(inp.field, inp.nvars),
                           generic_finiteness_check(inp, jac, True), nonzero,
@@ -321,8 +344,8 @@ def jacobian_report(inp: RationalMapInput) -> JacobianReport:
 
 
 class EulerSyzygy(NamedTuple):
-    """sum a_i f_i = 0 with a_i = D_i / F for the signed maximal minors D_i
-    (not kept), of degree delta; a_degrees[i] is deg a_i, -1 when a_i = 0.
+    """sum a_i f_i = 0 with a_i = D_i / F for the signed maximal minors D_i,
+    of degree delta; a_degrees[i] is deg a_i, -1 when a_i = 0.
     `a` is None when a line proved F = 1: there a_i = D_i, not expanded."""
 
     delta: int
@@ -341,21 +364,14 @@ def _surface_guard(inp: RationalMapInput) -> None:
 def euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
     """Syzygy of degree delta = 3(d-1) - deg F for a surface map (m=2, n=3).
 
-    D_i is (-1)^i times the 3-minor on the rows other than i, read off
-    `jr.minors3`; F is `jr.F`.
+    D_i is (-1)^i times the 3-minor on the rows other than i, so a_i is
+    (-1)^i times that minor's cofactor M / F, read off `jr.cofactors`; F is
+    `jr.F`.  The combination sum a_i f_i and the degrees are checked.
     """
     _surface_guard(inp)
-    F, minors3 = jr.F, jr.minors3
-    # minors3[k] leaves out row 3 - k.
-    D = [minors3[3 - i].poly if i % 2 == 0 else -minors3[3 - i].poly
-         for i in range(4)]
-    a = []
-    for di in D:
-        try:
-            a.append(di.exact_div(F))
-        except NotDivisible as exc:
-            raise FDoesNotDivideMinor(
-                f"F does not divide a signed minor: {exc}") from exc
+    F, cof = jr.F, jr.cofactors
+    # cof[k] belongs to the minor that leaves out row 3 - k.
+    a = [cof[3 - i] if i % 2 == 0 else -cof[3 - i] for i in range(4)]
     combo = sum((ai * fi for ai, fi in zip(a, inp.f)),
                 MvPoly.zero(inp.field, inp.nvars))
     if not combo.is_zero():
@@ -390,11 +406,12 @@ def line_euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
         if not acc.is_zero():
             raise FDoesNotDivideMinor("Euler's relation fails for a form")
     line, u = jr.line
-    combo = MvPoly.zero(line.field, 1)
+    q = line.field.char
+    combo: list = []
     for i, fi in enumerate(inp.f):
-        term = line.restrict(fi) * u[3 - i]
-        combo = combo - term if i % 2 else combo + term
-    if not combo.is_zero():
+        combo = (u_sub if i % 2 else u_add)(combo, u_mul(line.restrict(fi),
+                                                         u[3 - i]), q)
+    if combo:
         raise FDoesNotDivideMinor("constructed tuple is not a syzygy on the line")
     delta = 3 * (inp.d - 1)
     return EulerSyzygy(delta=delta,

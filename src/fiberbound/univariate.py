@@ -60,6 +60,10 @@ def u_eval(a: list, x, p: int):
     return v
 
 
+def u_add(a: list, b: list, p: int) -> list:
+    return u_sub(a, [-y for y in b], p)
+
+
 def u_sub(a: list, b: list, p: int) -> list:
     out = list(a) + [0] * max(len(b) - len(a), 0)
     for i, y in enumerate(b):

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from fiberbound import MvPoly, PrimeField, RationalMapInput
+from fiberbound import MvPoly, PrimeField, RationalMapInput, gcd
 from fiberbound.errors import NoSyzygyFound
 from fiberbound.linalg import rank
 from fiberbound.syzygy import (IndegResult, graded_syzygy_kernel,
@@ -127,3 +127,12 @@ def _gl_copy(inp, rng):
     g = [sum((fj.scale(c) for fj, c in zip(subst, row)), MvPoly.zero(field, nv))
          for row in _random_gl(field, len(inp.f), rng)]
     return RationalMapInput.create(field, g)
+
+
+def _count_brown(monkeypatch) -> list:
+    """The (a, b) of every run of Brown's gcd from now on."""
+    calls = []
+    real = gcd._brown
+    monkeypatch.setattr(gcd, "_brown", lambda a, b, *quotients: calls.append(
+        (a, b)) or real(a, b, *quotients))
+    return calls

@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 LINALG = "tests/test_linalg.py::"
 SYZYGY = "tests/test_syzygy.py::"
+GCD = "tests/test_gcd.py::"
 
 MUTANTS = [
     Mutant("no conditional subtraction", "linalg.py",
@@ -70,10 +71,35 @@ MUTANTS = [
            "return nu - source[c // n1][0] - 1, r\n",
            (SYZYGY + "test_planted_syzygies_of_every_degree_below_the_hit[fp]",)),
     Mutant("line test without the full-degree condition", "jacobian.py",
-           "        if ui.total_degree() < full:\n            return None\n",
+           "        if len(ui) <= full:\n            return None\n",
            "",
            ("tests/test_line_proof.py::test_line_path_and_expansion_give_the_same"
-            "_report[P2_d4-sparse-Fp]",)),
+            "_report[P2_d4-sparse-Fp]",
+            "tests/test_line_proof.py::test_a_nonzero_minor_below_full_degree"
+            "_stops_the_line[Fp]")),
+    Mutant("fold keeps a non-constant g without dividing", "gcd.py",
+           "                cof.append(b.exact_div(g))\n",
+           "                cof.append(b)\n",
+           (GCD + "test_cofactors_multiply_back[forms-Fp]",)),
+    Mutant("quotients taken for cand, not cand * cg", "gcd.py",
+           "            qa = _quotient(a, g, F)\n            if qa is not None:\n"
+           "                qb = _quotient(b, g, F)\n",
+           "            qa = _quotient(a, _join(cand, k), F)\n"
+           "            if qa is not None:\n"
+           "                qb = _quotient(b, _join(cand, k), F)\n",
+           (GCD + "test_cofactors_with_a_gcd_part_in_the_last_variable[Fp]",)),
+    Mutant("cofactors not rescaled when g is made monic", "gcd.py",
+           "    it = iter(cof if lc == 1 else [q.scale(lc) for q in cof])\n",
+           "    it = iter(cof)\n",
+           (GCD + "test_cofactors_multiply_back[forms-Fp]",)),
+    Mutant("Euler's a_i without the sign of odd i", "jacobian.py",
+           "    a = [cof[3 - i] if i % 2 == 0 else -cof[3 - i] for i in range(4)]\n",
+           "    a = [cof[3 - i] for i in range(4)]\n",
+           ("tests/test_jacobian.py::test_euler_syzygy_example2",)),
+    Mutant("derivative gcd's quotient without its 1/deg a", "gcd.py",
+           "                terms[e] = terms.get(e, 0) + v * inv\n",
+           "                terms[e] = terms.get(e, 0) + v\n",
+           (GCD + "test_derivative_gcd_hands_back_the_quotient[Fp]",)),
 ]
 
 

@@ -15,11 +15,11 @@ import random
 import pytest
 
 from fiberbound import (ArityMismatch, MvPoly, PrimeField, RationalField,
-                        RationalMapInput, gcd, gcd_multivariate,
-                        parse_map_file, run_analysis, squarefree_decompose,
-                        squarefree_part)
+                        RationalMapInput, gcd, gcd_cofactors,
+                        gcd_multivariate, parse_map_file, run_analysis,
+                        squarefree_decompose, squarefree_part)
 
-from conftest import rand_nonzero, random_nonzero_poly
+from conftest import _count_brown, rand_nonzero, random_nonzero_poly
 
 
 # -- test-local univariate Euclid (independent of the kernel gcd) ------------
@@ -285,16 +285,8 @@ def test_gcd_of_single_variable_inputs_in_three_variables(field, xyz):
 
 # -- evaluation/interpolation gcd, and the PRS it falls back on ---------------
 
-def _count_brown(monkeypatch) -> list:
-    calls = []
-    real = gcd._brown
-    monkeypatch.setattr(gcd, "_brown",
-                        lambda a, b: calls.append((a, b)) or real(a, b))
-    return calls
-
-
 def _force_prs(monkeypatch):
-    def exhausted(a, b):
+    def exhausted(a, b, *quotients):
         raise gcd._PointsExhausted
     monkeypatch.setattr(gcd, "_brown", exhausted)
 
@@ -355,9 +347,9 @@ def test_points_run_out_and_the_prs_takes_over(monkeypatch):
     b = c * (x0 + x1)
     real, ran_out = gcd._brown, []
 
-    def brown(u, v):
+    def brown(u, v, *quotients):
         try:
-            return real(u, v)
+            return real(u, v, *quotients)
         except gcd._PointsExhausted:
             ran_out.append((u, v))
             raise
@@ -424,10 +416,14 @@ def test_unlucky_points_are_skipped_or_retried(c_has_y, first, retried, xyz,
             drawn.append(y0)
             yield y0
 
-    real_divides = gcd._divides
+    real_quotient = gcd._quotient
+
+    def quotient(t, g, F):
+        q = real_quotient(t, g, F)
+        divides.append(q is not None)
+        return q
     monkeypatch.setattr(gcd, "_evaluation_points", points)
-    monkeypatch.setattr(gcd, "_divides", lambda g, t, F: divides.append(
-        real_divides(g, t, F)) or divides[-1])
+    monkeypatch.setattr(gcd, "_quotient", quotient)
     calls = _count_brown(monkeypatch)
     assert gcd_multivariate(a, b) == c.monic()
     assert len(calls) == 1 and drawn[:len(first)] == first
@@ -441,3 +437,105 @@ def test_squarefree_of_a_non_form_keeps_it_in_the_derivative_gcd(field, xyz):
     a = xyz[1] ** 2 + 1
     assert squarefree_part(a) == a
     assert squarefree_decompose(a) == [(a, 1)]
+
+
+# -- cofactors ----------------------------------------------------------------
+
+FIELDS = [PrimeField(), RationalField()]
+
+
+def _cofactors_check(polys):
+    """gcd_cofactors against gcd_multivariate and g * c_i = p_i."""
+    g, cof = gcd_cofactors(*polys)
+    assert g == gcd_multivariate(*polys)
+    assert len(cof) == len(polys)
+    assert all(g * c == a for c, a in zip(cof, polys))
+    return g, cof
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Fp", "Q"])
+@pytest.mark.parametrize("form", [True, False], ids=["forms", "nonforms"])
+def test_cofactors_multiply_back(field, form):
+    # two or three inputs with a planted common factor c; the third is made
+    # so that the gcd of the first two is larger than the gcd of all
+    rng = random.Random(45)
+    for _ in range(8):
+        a, b, c, u, w = (
+            random_nonzero_poly(field, 3, 2, rng, **(
+                {"homogeneous_deg": rng.randint(1, 2)} if form else {}))
+            for _ in range(5))
+        g, _ = _cofactors_check([(a * c).scale(3), b * c])
+        assert c.divides(g)
+        g, _ = _cofactors_check([a * c * u, b * c * u, w * c])
+        assert c.divides(g)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Fp", "Q"])
+def test_cofactors_of_zero_monomial_coprime_and_constant_inputs(field):
+    x0, x1, x2 = (MvPoly.variable(field, 3, j) for j in range(3))
+    zero, one = MvPoly.zero(field, 3), MvPoly.one(field, 3)
+    c = x0 + 2 * x1 - x2
+    a, b = 3 * c * (x1 - x2), c * (x0 + x2) * x1
+    g, cof = _cofactors_check([zero, a, zero, b])
+    assert g == c.monic() and cof[0] == cof[2] == zero
+    # shared and unshared monomial content
+    g, _ = _cofactors_check([x0 ** 2 * x1 * a, x0 * x1 ** 3 * b, x0 * x2 * c])
+    assert g == (x0 * c).monic()
+    # coprime and constant inputs: g = 1 and the inputs are their cofactors
+    for polys in ([x0 + x1, x1 - x2], [MvPoly.constant(field, 3, 5), a],
+                  [x0 ** 2, x1 * x2]):
+        assert _cofactors_check(polys) == (one, polys)
+    # one input is its own gcd, up to its leading coefficient
+    assert _cofactors_check([a]) == (a.monic(), [a.leading_coefficient() * one])
+    # binary forms, and polys in one variable: Brown's gcd is Euclid's there
+    s, t = (MvPoly.variable(field, 2, j) for j in range(2))
+    g, _ = _cofactors_check([(s + t) * (s - 2 * t) ** 2, 4 * (s + t) * (s + 3 * t)])
+    assert g == s + t
+    t = MvPoly.variable(field, 1, 0)
+    g, _ = _cofactors_check([(t - 1) * (t - 2), 3 * (t - 1) * (t + 3)])
+    assert g == t - 1
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Fp", "Q"])
+def test_cofactors_with_a_gcd_part_in_the_last_variable(field):
+    # the forms dehomogenise to polys in X1, X2 whose gcd has the content
+    # X2 - 1 in y = X2: the certificate divides content and primitive part
+    # together, and on coprime primitive parts a constant image ends Brown
+    x0, x1, x2 = (MvPoly.variable(field, 3, j) for j in range(3))
+    c, h = x2 - x0, x1 + 3 * x2 - x0
+    _cofactors_check([c * h * (x1 - x0), (c * h * (x1 + x2)).scale(5)])
+    _cofactors_check([c * (x0 + x1), c * (x1 - 2 * x2)])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_cofactors_when_the_points_run_out(p, monkeypatch):
+    # as in test_points_run_out_and_the_prs_takes_over: the PRS finds the
+    # gcd, and one division per input gives the cofactors
+    F = PrimeField(p)
+    x0, x1, x2 = (MvPoly.variable(F, 3, j) for j in range(3))
+    c = x1 + x2
+    a = c * (x1 ** 2 * (x2 ** p - x0 ** (p - 1) * x2) + x0 ** (p + 2))
+    b = (c * (x0 + x1)).scale(3)
+    real, ran_out = gcd._brown, []
+
+    def brown(u, v, *quotients):
+        try:
+            return real(u, v, *quotients)
+        except gcd._PointsExhausted:
+            ran_out.append((u, v))
+            raise
+    monkeypatch.setattr(gcd, "_brown", brown)
+    g, _ = _cofactors_check([a, b])
+    assert g == c and ran_out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Fp", "Q"])
+def test_derivative_gcd_hands_back_the_quotient(field):
+    # a / c comes from the partials' cofactors by Euler's identity for a
+    # form, and is the cofactor of a itself otherwise
+    x0, x1, x2 = (MvPoly.variable(field, 3, j) for j in range(3))
+    for a in [(x0 - x1) ** 3 * (x1 + x2) ** 2 * x2, 7 * (x0 + x1) ** 2 * x1,
+              (x1 ** 2 + x0) ** 2 * (x2 + 1)]:
+        c, w = gcd._derivative_gcd(a)
+        assert c * w == a
+        assert c == gcd_multivariate(a, *(a.derivative(j) for j in range(3)))

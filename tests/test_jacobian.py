@@ -14,10 +14,11 @@ from fiberbound import (AllMinorsZero, CharDividesDegree, JacobianReport,
                         linear_dependence_check, minors)
 from fiberbound.errors import (BadInput, CommonFactor, FDoesNotDivideMinor,
                                MixedDegrees, NotHomogeneous)
-from fiberbound.fixtures import make_cube_dependent, make_example2, make_family
+from fiberbound.fixtures import (FIXTURES, make_cube_dependent, make_example2,
+                                 make_family)
 from fiberbound.jacobian import generic_finiteness_check
 
-from conftest import rand_nonzero, random_poly
+from conftest import _count_brown, _gl_copy, rand_nonzero, random_poly
 
 
 def _random_map(field, nvars, count, d, rng):
@@ -265,6 +266,29 @@ def test_euler_syzygy_rejects_a_non_divisor(field, make):
         euler_syzygy(inp, JacobianReport(jr.jac, F * MvPoly.variable(field, 3, 0),
                                          jr.i_top_nonzero, jr.minor_nonzero,
                                          minors3=jr.minors3))
+
+
+@pytest.mark.parametrize("name", ["example2"] + [
+    f"gl:{fx.name}" for fx in FIXTURES])
+def test_F_takes_one_brown_run_and_euler_divides_nothing(name, monkeypatch):
+    # On these maps the gcd of the first two nonzero minors is already F:
+    # every further minor is certified by one division, whose quotient is
+    # its cofactor, and the Euler syzygy reads the cofactors.
+    if name == "example2":
+        inp = make_example2()
+    else:
+        fx = next(fx for fx in FIXTURES if f"gl:{fx.name}" == name)
+        inp = _gl_copy(fx.build(), random.Random(name))
+    calls = _count_brown(monkeypatch)
+    jr = jacobian_report(inp)
+    assert len(calls) == 1
+    real, divisions = MvPoly.exact_div, []
+    monkeypatch.setattr(MvPoly, "exact_div", lambda a, b: divisions.append(
+        (a, b)) or real(a, b))
+    es = euler_syzygy(inp, jr)
+    assert divisions == []
+    assert [jr.F * a for a in es.a] == [(-1) ** i * jr.minors3[3 - i].poly
+                                        for i in range(4)]
 
 
 def test_euler_syzygy_char_guard():

@@ -129,7 +129,7 @@ def test_a_minor_that_vanishes_on_the_line_is_expanded(field, monkeypatch):
     inp = RationalMapInput.create(field, f)
     jr = jacobian_report(inp)
     assert jr.line is not None
-    assert [u.is_zero() for u in jr.line[1]] == \
+    assert [not u for u in jr.line[1]] == \
         [{0, 2} <= set(rows) for rows, _ in jac_mod._index_sets(jr.jac, 3)]
     assert jr.minor_nonzero == (True,) * 40
     report = run_analysis(inp)
@@ -148,6 +148,32 @@ def test_the_line_needs_a_minor_of_full_degree(field):
     report = run_analysis(parse_map_file(text))
     assert report.jacobian.line is None
     assert (report.jacobian.degF, report.jacobian.F.to_str()) == (1, "X0")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Fp", "Q"])
+def test_a_nonzero_minor_below_full_degree_stops_the_line(field, monkeypatch):
+    # f2 = f0 + X0 (b_2 X1 - b_1 X2) h: X0 and b_2 X1 - b_1 X2 vanish at the
+    # line's point at infinity b, so rows 0 and 2 of J(b) agree.  U_0 (rows
+    # 0, 1, 2) drops below full degree, while rows 0, 1, 3 keep rank 3, so
+    # the rank check passes and only the full-degree check is left to stop
+    # the line.
+    _, b = _the_line(field, 3)
+    rng = random.Random(5)
+    X = [MvPoly.variable(field, 3, j) for j in range(3)]
+    ell = X[1].scale(b[2]) - X[2].scale(b[1])
+    inp = _random_map(field, 2, 3, "dense", 5)
+    h = MvPoly(field, 3, {e: rand_nonzero(field, rng)
+                          for e in monomials_of_degree(3, 1)})
+    f = list(inp.f)
+    f[2] = f[0] + X[0] * ell * h
+    inp = RationalMapInput.create(field, f)
+    line = jac_mod._Line(field, 3)
+    u0 = line.restrict(jac_mod.minors(jac_mod.build_jacobian(inp), 3)[0].poly)
+    assert 0 < len(u0) <= 3 * (inp.d - 1)
+    jr = jacobian_report(inp)
+    assert jr.line is None and jr.degF == 0
+    report = run_analysis(inp)
+    assert report.to_json() == _expanded(inp, monkeypatch).to_json()
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=["Fp", "Q"])
@@ -198,7 +224,8 @@ def test_line_euler_syzygy_checks_eulers_relation(field):
 def test_line_euler_syzygy_checks_the_identity_on_the_line(field):
     inp, jr = _line_report(field)
     line, u = jr.line
+    q = line.field.char
     bad = JacobianReport(jr.jac, jr.F, jr.i_top_nonzero, jr.minor_nonzero,
-                         line=(line, [u[0].scale(2)] + u[1:]))
+                         line=(line, [[2 * c % q for c in u[0]]] + u[1:]))
     with pytest.raises(FDoesNotDivideMinor, match="on the line"):
         line_euler_syzygy(inp, bad)
