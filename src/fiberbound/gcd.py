@@ -365,12 +365,27 @@ def _quotient(t: dict, g: dict, F) -> dict | None:
 
 def squarefree_part(a: MvPoly) -> MvPoly:
     """Product of the distinct irreducible factors of a, monic: the product
-    of `squarefree_decompose`'s parts (a / gcd(a, da) would drop the p-th
-    powers)."""
-    sf = MvPoly.one(a.field, a.nvars)
-    for part, _ in squarefree_decompose(a):
-        sf = sf * part
-    return sf
+    of `squarefree_decompose`'s parts.
+
+    When p = 0 or p > deg a it is the derivative gcd's cofactor a / c, made
+    monic, and Yun's loop does not run.  Write a = lc prod P^e over the
+    distinct irreducible factors P.  Every e <= deg a is then nonzero in
+    the field, and some partial dP/dX_j is nonzero (all of them vanish only
+    for a polynomial in the X_j^p, of degree p or more, or for a constant)
+    and not divisible by P, of lower degree.  The product rule gives
+    da/dX_j = e P^(e-1) (dP/dX_j) (a / P^e) + P^e (...), so P^(e-1)
+    divides every partial and P^e does not divide da/dX_j: c = gcd(a, da)
+    = prod P^(e-1) up to a scalar, and a / c = lc prod P.  For p <= deg a,
+    a / c would drop the factors whose multiplicity p divides, so the
+    product of the parts stands.
+    """
+    p = a.field.char
+    if a.is_constant() or (p and p <= a.total_degree()):
+        sf = MvPoly.one(a.field, a.nvars)
+        for part, _ in squarefree_decompose(a):
+            sf = sf * part
+        return sf
+    return _derivative_gcd(a)[1].monic()
 
 
 def squarefree_decompose(a: MvPoly) -> list[tuple[MvPoly, int]]:

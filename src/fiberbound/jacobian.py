@@ -16,6 +16,8 @@ twice.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from typing import NamedTuple
 
@@ -28,7 +30,8 @@ from .gcd import gcd_cofactors, gcd_multivariate
 from .linalg import rank, rank_mod_p
 # Kept bound here: bench/trace_layers.py wraps jacobian.kernel_basis.
 from .linalg import kernel_basis  # noqa: F401
-from .poly import MvPoly
+from .poly import (MvPoly, _kronecker_layout, _pack, _packs, _slot_bytes,
+                   _unpack_signed)
 from .univariate import u_add, u_gcd, u_mul, u_reduce, u_sub
 
 # The line test's prime over Q, where it runs on the coefficients mod q.
@@ -144,13 +147,63 @@ def _det(jac: list, rows: tuple, cols: tuple, memo: dict, ring=None):
 
 def minors(jac: list, s: int) -> list:
     """All s-minors by cofactor expansion, zero minors included, in the
-    order of `_index_sets`, so no minor appears twice."""
+    order of `_index_sets`, so no minor appears twice.  Dense forms over
+    F_p expand as packed ints (`_packed_entries`), other entries as
+    `MvPoly`s."""
     nrows, ncols = len(jac), len(jac[0])
     if not 1 <= s <= min(nrows, ncols):
         raise SOutOfRange(f"minor size {s} outside 1..{min(nrows, ncols)}")
     memo: dict = {}
-    return [Minor(rows, cols, _det(jac, rows, cols, memo))
+    packed = _packed_entries(jac, s)
+    if packed is None:
+        return [Minor(rows, cols, _det(jac, rows, cols, memo))
+                for rows, cols in _index_sets(jac, s)]
+    pjac, unpack = packed
+    ring = (0, operator.mul, operator.add, operator.sub)
+    return [Minor(rows, cols, unpack(_det(pjac, rows, cols, memo, ring)))
             for rows, cols in _index_sets(jac, s)]
+
+
+def _packed_entries(jac: list, s: int):
+    """(the entries of jac as packed ints, the unpacking of a packed
+    s-minor into an `MvPoly`), or None where the entries do not pack: they
+    must be forms over F_p of one degree k, and the one with the fewest
+    terms must pack with itself by `_packs`' rule (dense enough).
+
+    The entries, coefficients in [0, p), go to `_kronecker_layout` for
+    degree s k, with X0 dropped.  Packing is evaluation at an integer point,
+    so the expansion over ints is the packed minor of the entries lifted to
+    Z, which the constructor reduces mod p.  Its monomials have degree s k,
+    below the layout's base s k + 1, so distinct ones get distinct slots.
+    Every
+    coefficient of it lies in (-B, B), B = s! T^(s-1) p^s, T the most terms
+    of any entry: the minor is a signed sum of s! products of s entries,
+    and a coefficient of one product sums at most T^(s-1) products of s
+    coefficients (the terms of s - 1 factors fix the last one's), each
+    product at most (p-1)^s.  So slots of `_slot_bytes(2B)` hold each
+    coefficient, and `_unpack_signed` with bias B reads it back.
+    """
+    entries = [e for row in jac for e in row if e]
+    if not entries or not entries[0].field.char:
+        return None
+    field, nvars = entries[0].field, entries[0].nvars
+    thin = min(entries, key=lambda e: len(e.terms))
+    k = thin.total_degree()
+    if not _packs(thin, thin) or any(
+            not e.is_homogeneous() or e.total_degree() != k for e in entries):
+        return None
+    p = field.char
+    bias = (math.factorial(s) * max(len(e.terms) for e in entries) ** (s - 1)
+            * p ** s)
+    width = _slot_bytes(2 * bias)
+    weights, exps, offsets = _kronecker_layout(nvars, s * k, width)
+
+    def unpack(x: int) -> MvPoly:
+        return MvPoly(field, nvars,
+                      dict(zip(exps, _unpack_signed(x, width, offsets, bias))))
+
+    return [[_pack(e.terms, weights, width) if e else 0 for e in row]
+            for row in jac], unpack
 
 
 def gcd_of_minors(minors3, cofactors: bool = False):
@@ -367,8 +420,11 @@ def euler_syzygy(inp: RationalMapInput, jr: JacobianReport) -> EulerSyzygy:
     D_i is (-1)^i times the 3-minor on the rows other than i, so a_i is
     (-1)^i times that minor's cofactor M / F, read off `jr.cofactors`; F is
     `jr.F`.  The combination sum a_i f_i and the degrees are checked.
+    AllMinorsZero when every 3-minor vanishes, as there is no F.
     """
     _surface_guard(inp)
+    if jr.F is None:
+        raise AllMinorsZero("I_3(J(f)) = 0: every 3-minor vanishes")
     F, cof = jr.F, jr.cofactors
     # cof[k] belongs to the minor that leaves out row 3 - k.
     a = [cof[3 - i] if i % 2 == 0 else -cof[3 - i] for i in range(4)]

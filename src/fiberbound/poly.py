@@ -20,16 +20,18 @@ dropped, the other exponents pick a slot of whole bytes in one int per
 operand, one int product forms every pair, and the product's slots are read
 back at the monomials of its degree.  A slot is wide enough for the sum it
 can receive, so no slot carries into the next.  Over F_p both paths hand
-the constructor the same unreduced sums; over Q the packed product runs
-modulo an odd n above twice every coefficient's size, and lifting each slot
-into (-n/2, n/2] gives the coefficient itself.
+the constructor the same unreduced sums; over Q the operands are packed
+signed, and a bias added to every slot of the product reads each
+coefficient back.  Exact division over F_p runs on the same packed ints
+once the dividend is large (`_packed_div`), and the dict loop otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from math import comb
+from operator import add, gt, mul
 from typing import Iterable, Sequence
 
 from .errors import ArityMismatch, NotDivisible
@@ -57,6 +59,43 @@ def monomials_of_degree(nvars: int, deg: int) -> list:
     return out
 
 
+# -- the packing layer -------------------------------------------------------
+#
+# Over F_p, and over Z for `_integer_mul`, a polynomial can live in one int:
+# each coefficient sits in a slot of whole bytes at the byte offset that its
+# exponents pick, `sum e_j weights_j` (Kronecker substitution, von zur Gathen
+# & Gerhard 8.4).  The packed product, the packed minors of `jacobian.minors`
+# and the packed division below use these five functions; each caller proves
+# that its slots never carry into one another.
+
+def _slot_bytes(top: int) -> int:
+    """Whole bytes of a slot that holds every int in [0, top]."""
+    return (top.bit_length() + 7) // 8
+
+
+@lru_cache(maxsize=64)
+def _kronecker_layout(nvars: int, deg: int, width: int) -> tuple:
+    """(byte offset per unit of each exponent, the monomials of degree deg,
+    their byte offsets) for forms of degree at most deg with X0 dropped,
+    width bytes a slot: (e_1..e_{n-1}) goes to slot sum e_j D^(j-1) with
+    D = deg + 1, which no exponent reaches, so distinct monomials of one
+    degree get distinct slots.  Every product of one degree shares them."""
+    weights = (0,) + tuple(width * (deg + 1) ** j for j in range(nvars - 1))
+    exps = tuple(monomials_of_degree(nvars, deg))
+    return weights, exps, tuple(sum(map(mul, e, weights)) for e in exps)
+
+
+def _pack(terms: dict, weights: Sequence[int], width: int) -> int:
+    """One int with each coefficient of terms, an int in [0, 256^width),
+    in the width-byte slot at byte offset sum e_j weights_j; 0 for no
+    terms."""
+    at = [sum(map(mul, e, weights)) for e in terms]
+    buf = bytearray(max(at, default=0) + width)
+    for o, c in zip(at, terms.values()):
+        buf[o:o + width] = c.to_bytes(width, "little")
+    return int.from_bytes(buf, "little")
+
+
 def unpack_slots(x: int, width: int, offsets) -> list:
     """The width-byte little-endian slots of x that start at the given byte
     offsets; a slot above the top byte of x reads 0."""
@@ -64,13 +103,24 @@ def unpack_slots(x: int, width: int, offsets) -> list:
     return [int.from_bytes(raw[o:o + width], "little") for o in offsets]
 
 
+def _unpack_signed(x: int, width: int, offsets, bias: int) -> list:
+    """The slots of x at the given byte offsets, when x = sum c_s 256^(width s)
+    with every c_s in (-bias, bias), no slot above the last offset, and
+    2 bias <= 256^width.  Adding bias to every slot makes each c_s + bias a
+    digit in (0, 2 bias), so the sum is x written in base 256^width with no
+    borrow, and each slot reads back as c_s + bias."""
+    cells = max(offsets) // width + 1
+    ones = int.from_bytes((b"\1" + bytes(width - 1)) * cells, "little")
+    return [c - bias for c in unpack_slots(x + bias * ones, width, offsets)]
+
+
 # Least number of term pairs for a Kronecker-packed product.  On random dense
 # forms in 2, 3 and 4 variables over F_(2^31-1) (CPython 3.11, shared 2-vCPU
 # x86 host, best of 15) the dict loop is faster below about 30 pairs and the
 # packed product from about 60 pairs on: 0.65-0.73x at 54-64 pairs, 0.35-0.5x
 # at 150-700, 0.11x at 55 x 190 terms.  Integral forms over Q take the same
-# gate, not measured apart: on the maps' small coefficients their modulus
-# 2B + 1 is far below 2^31 - 1, so their slots are narrower still.
+# gate, not measured apart: on the maps' small coefficients their slots are
+# narrower still.
 KRONECKER_PAIRS = 64
 
 
@@ -105,50 +155,133 @@ def _dict_mul(a: dict, b: dict) -> dict:
 
 def _kronecker_mul(p: int, a: dict, b: dict) -> dict:
     """Unreduced terms of the product of two nonzero forms modulo p, given
-    by their term maps with coefficients in [0, p), from one int product.
+    by their term maps with coefficients in [0, p), from one int product
+    on `_kronecker_layout` for degree deg a + deg b.  A slot receives at
+    most m = min(#a, #b) products, one per term of the shorter operand,
+    each at most (p-1)^2, so a slot of `_slot_bytes(m (p-1)^2)` never
+    carries into the next one."""
+    width = _slot_bytes(min(len(a), len(b)) * (p - 1) ** 2)
+    ea, eb = next(iter(a)), next(iter(b))
+    weights, exps, offsets = _kronecker_layout(len(ea), sum(ea) + sum(eb),
+                                               width)
+    x = _pack(a, weights, width) * _pack(b, weights, width)
+    return dict(zip(exps, unpack_slots(x, width, offsets)))
 
-    X0 is dropped and (e_1..e_{n-1}) goes to slot sum e_j D^(j-1) with
-    D = deg a + deg b + 1, which no exponent of the product reaches, so
-    distinct product monomials get distinct slots.  A slot receives at most
-    m = min(#a, #b) products, each at most (p-1)^2 < 2^(2 bitlen p), so it
-    stays below 2^(2 bitlen p + bitlen m) and, that many bits rounded up to
-    whole bytes wide, never carries into the next one."""
-    width = (2 * p.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+
+def _integer_mul(a: dict, b: dict) -> dict:
+    """Terms of the product of two nonzero forms with int coefficients, from
+    one int product of signed packs (the positive terms' pack minus the
+    negative terms' one).  B = min(#a, #b) max|a| max|b| bounds every
+    coefficient of the product, so `_unpack_signed` with bias B + 1 reads
+    each one back from slots of `_slot_bytes(2B + 2)`."""
+    bias = (min(len(a), len(b)) * max(map(abs, a.values()))
+            * max(map(abs, b.values())) + 1)
+    width = _slot_bytes(2 * bias)
     ea, eb = next(iter(a)), next(iter(b))
     weights, exps, offsets = _kronecker_layout(len(ea), sum(ea) + sum(eb),
                                                width)
 
-    def pack(terms: dict) -> int:
-        at = [sum(map(mul, e, weights)) for e in terms]
-        buf = bytearray(max(at) + width)
-        for o, c in zip(at, terms.values()):
-            buf[o:o + width] = c.to_bytes(width, "little")
-        return int.from_bytes(buf, "little")
+    def signed(terms: dict) -> int:
+        return (_pack({e: c for e, c in terms.items() if c > 0}, weights, width)
+                - _pack({e: -c for e, c in terms.items() if c < 0}, weights,
+                        width))
 
-    return dict(zip(exps, unpack_slots(pack(a) * pack(b), width, offsets)))
-
-
-def _integer_mul(a: dict, b: dict) -> dict:
-    """Terms of the product of two nonzero forms with int coefficients, by
-    `_kronecker_mul` modulo n = 2B + 1.  B = min(#a, #b) max|a| max|b|
-    bounds every coefficient of the product, so the residue of one lifted
-    into (-n/2, n/2] = [-B, B] is the coefficient itself."""
-    bound = (min(len(a), len(b)) * max(map(abs, a.values()))
-             * max(map(abs, b.values())))
-    n = 2 * bound + 1
-    out = _kronecker_mul(n, {e: c % n for e, c in a.items()},
-                         {e: c % n for e, c in b.items()})
-    return {e: r if (r := s % n) <= bound else r - n for e, s in out.items()}
+    x = signed(a) * signed(b)
+    return dict(zip(exps, _unpack_signed(x, width, offsets, bias)))
 
 
-@lru_cache(maxsize=64)
-def _kronecker_layout(nvars: int, deg: int, width: int) -> tuple:
-    """(byte offset per unit of each exponent, the monomials of degree deg,
-    their byte offsets) for products of degree deg packed width bytes a slot:
-    every product of one degree shares them."""
-    weights = (0,) + tuple(width * (deg + 1) ** j for j in range(nvars - 1))
-    exps = tuple(monomials_of_degree(nvars, deg))
-    return weights, exps, tuple(sum(map(mul, e, weights)) for e in exps)
+# Least dividend terms for the packed division over F_p, which also needs a
+# divisor of two terms or more and a dividend with more terms than it.  On
+# the 594 divisions by a divisor of two or more terms in the `planted` and
+# `fixtures` passes at seeds 1 and 2 (CPython 3.11, shared 2-vCPU x86 host,
+# best of 5 per call) the packed division took 1.2-2.7x the dict loop's
+# time below 12 dividend terms, 0.96-0.99x at 12-19, 0.8-0.85x at 20-35,
+# 0.6-0.75x at 36-47 and 0.35x from 48 on.  The packing costs about 0.3 us
+# a term, so it lost, by 2.5-3.5x, wherever the quotient was a single term
+# and the dict loop touched each divisor term once: there the dividend has
+# no more terms than the divisor.
+DIV_TERMS = 20
+
+
+def _packed_div(a: "MvPoly", b: "MvPoly") -> dict:
+    """Terms of a / b over F_p for a nonzero a, by the division algorithm on
+    one int per operand (Monagan & Pearce 2011 divide on packed monomials);
+    NotDivisible when b does not divide a.
+
+    Before packing, b may not have a variable to a higher degree than a
+    (b | a implies it), so the layout below holds b's monomials too.
+
+    Layout.  Two forms drop X0, other inputs keep every variable that a
+    has; slot sum e_j D^j (j over the kept variables) with D = deg a + 1,
+    `width` bytes each.  The divisor is stored negated, p - c per slot.
+    Each step reads the top slot c of the remainder r.  If c = 0 mod p it
+    is subtracted exactly.  Otherwise its monomial minus lm(b) is the next
+    quotient monomial q, with qc = c / lc(b), and r gains qc X^q (-b) while
+    its top slot, now a multiple of p, is subtracted exactly.
+
+    Soundness.  Every q is checked: no negative digit (lm(b) divides the
+    top monomial) and digit sum at most deg a - deg b.  So every monomial
+    that r gains, q + e for e in b, has total degree at most deg a < D,
+    its digits pick its slot, and r is always a - (quotient so far) b with
+    coefficients mod p, slot by slot.  The top slot is the lex-first
+    monomial (the last kept variable first), so this is the division
+    algorithm under that order; it stops, since the top slot falls at
+    every step.  If b | a, r = (a/b - quotient so far) b throughout, whose
+    leading monomial is lm(b) times a term of a/b, so no check fails and r
+    ends at 0 with the quotient a/b.  A failed check rules out b | a.  For
+    forms, the dehomogenised quotient q of degree at most deg a - deg b
+    gives the form X0^(deg a - deg b - deg q) q^h, whose product with b is
+    a form of degree deg a with the dehomogenisation of a, so a itself.
+
+    Width.  A slot starts below p and, per quotient term, gains at most one
+    product below p^2 (its monomial minus q is one e of b); there are at
+    most C = C(deg a - deg b + k, k) quotient monomials in the k kept
+    variables, and a subtraction only clears a slot, so a slot of
+    `_slot_bytes(p - 1 + C (p-1)^2)` never carries.
+    """
+    p, n = a.field.char, a.nvars
+    degs_a, degs_b = list(map(sum, a.terms)), list(map(sum, b.terms))
+    deg_a, deg_b = max(degs_a), max(degs_b)
+    nq = deg_a - deg_b
+    top_a = tuple(map(max, zip(*a.terms)))
+    if nq < 0 or any(map(gt, map(max, zip(*b.terms)), top_a)):
+        raise NotDivisible("the divisor's degree in a variable is too large")
+    forms = min(degs_a) == deg_a and min(degs_b) == deg_b
+    kept = [j for j in range(forms, n) if top_a[j]]
+    base = deg_a + 1
+    width = _slot_bytes(p - 1 + comb(nq + len(kept), len(kept)) * (p - 1) ** 2)
+    bits = 8 * width
+    weights = [0] * n
+    for i, j in enumerate(kept):
+        weights[j] = width * base ** i
+    r = _pack(a.terms, weights, width)
+    negb = _pack({e: p - c for e, c in b.terms.items()}, weights, width)
+    lead = (negb.bit_length() - 1) // bits
+    nlead = negb >> lead * bits
+    inv = pow(p - nlead, -1, p)
+    lead_digits, x = [], lead
+    for _ in kept:
+        x, d = divmod(x, base)
+        lead_digits.append(d)
+    quo: dict = {}
+    while r:
+        top = (r.bit_length() - 1) // bits
+        c = r >> top * bits
+        if not c % p:
+            r -= c << top * bits
+            continue
+        q, x = [0] * n, top
+        for j, d in zip(kept, lead_digits):
+            x, q[j] = divmod(x, base)
+            q[j] -= d
+        if min(q) < 0 or sum(q) > nq:
+            raise NotDivisible("leading monomial not divisible")
+        qc = c * inv % p
+        if forms:
+            q[0] = nq - sum(q)
+        quo[tuple(q)] = qc
+        r += (qc * negb << (top - lead) * bits) - (c + qc * nlead << top * bits)
+    return quo
 
 
 class MvPoly:
@@ -336,12 +469,17 @@ class MvPoly:
 
         Divides in lex order, plain tuple comparison: an exact quotient is
         unique, and division under any monomial order, lex included, finds it.
+        Over F_p a dividend of DIV_TERMS terms or more, with more terms than a
+        divisor of two or more, is divided packed (`_packed_div`).
         """
         self._check(b)
         if b.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         F = self.field
         p = F.char
+        if p and len(self.terms) >= DIV_TERMS \
+                and len(self.terms) > len(b.terms) > 1:
+            return MvPoly(F, self.nvars, _packed_div(self, b))
         lb = max(b.terms)
         inv = F.inv(b.terms[lb])
         if not any(lb):

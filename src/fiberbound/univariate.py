@@ -127,13 +127,27 @@ def u_mulmod(a: list, b: list, mod: list, p: int) -> list:
 
 
 def u_powmod(base: list, e: int, mod: list, p: int) -> list:
-    result = [1]
+    """base^e mod `mod` by a 4-bit sliding window, from the top bit down:
+    the odd powers base^1, base^3, ..., base^15 once, then one squaring per
+    bit and one product per window of up to 4 bits that ends in a 1.
+    Where e is all ones, as p = 2^31 - 1 and (p - 1)/2 are, that is one
+    product every 4 bits, where the binary method takes one every bit."""
     base = u_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = u_mulmod(result, base, mod, p)
-        base = u_mulmod(base, base, mod, p)
-        e >>= 1
+    square = u_mulmod(base, base, mod, p)
+    odd = [base]
+    for _ in range(7):
+        odd.append(u_mulmod(odd[-1], square, mod, p))
+    result, i = [1], e.bit_length() - 1
+    while i >= 0:
+        j = max(i - 3, 0) if e >> i & 1 else i
+        while not e >> j & 1 and j < i:
+            j += 1
+        for _ in range(i - j + 1):
+            result = u_mulmod(result, result, mod, p)
+        if e >> j & 1:
+            window = e >> j & (2 << i - j) - 1
+            result = u_mulmod(result, odd[window >> 1], mod, p)
+        i = j - 1
     return result
 
 

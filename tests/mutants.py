@@ -39,6 +39,8 @@ class Mutant(NamedTuple):
 LINALG = "tests/test_linalg.py::"
 SYZYGY = "tests/test_syzygy.py::"
 GCD = "tests/test_gcd.py::"
+POLY = "tests/test_poly.py::"
+JACOBIAN = "tests/test_jacobian.py::"
 
 MUTANTS = [
     Mutant("no conditional subtraction", "linalg.py",
@@ -100,6 +102,32 @@ MUTANTS = [
            "                terms[e] = terms.get(e, 0) + v * inv\n",
            "                terms[e] = terms.get(e, 0) + v\n",
            (GCD + "test_derivative_gcd_hands_back_the_quotient[Fp]",)),
+    Mutant("packed division without the digit check", "poly.py",
+           "        if min(q) < 0 or sum(q) > nq:\n",
+           "        if sum(q) > nq:\n",
+           (POLY + "test_packed_division_agrees_with_the_dict_loop[7]",)),
+    Mutant("packed division without the degree check", "poly.py",
+           "        if min(q) < 0 or sum(q) > nq:\n",
+           "        if min(q) < 0:\n",
+           (POLY + "test_packed_division_of_forms_bounds_the_quotient_degree",)),
+    Mutant("packed division keeps a top slot that is 0 mod p", "poly.py",
+           "        if not c % p:\n            r -= c << top * bits\n"
+           "            continue\n",
+           "",
+           (POLY + "test_packed_division_agrees_with_the_dict_loop[7]",)),
+    Mutant("packed minors one byte narrower", "jacobian.py",
+           "    width = _slot_bytes(2 * bias)\n",
+           "    width = _slot_bytes(2 * bias) - 1\n",
+           (JACOBIAN + "test_packed_minors_hold_the_largest_coefficients"
+            "[2147483647]",)),
+    Mutant("packed minors without the bias", "jacobian.py",
+           "_unpack_signed(x, width, offsets, bias)",
+           "_unpack_signed(x, width, offsets, 0)",
+           (JACOBIAN + "test_packed_and_expanded_minors_agree[gl:family_d5]",)),
+    Mutant("square-free part by the cofactor when p <= deg a", "gcd.py",
+           "    if a.is_constant() or (p and p <= a.total_degree()):\n",
+           "    if a.is_constant():\n",
+           (GCD + "test_squarefree_part_is_the_product_of_the_parts[F7]",)),
 ]
 
 

@@ -539,3 +539,36 @@ def test_derivative_gcd_hands_back_the_quotient(field):
         c, w = gcd._derivative_gcd(a)
         assert c * w == a
         assert c == gcd_multivariate(a, *(a.derivative(j) for j in range(3)))
+
+
+def _product_of_parts(a):
+    out = MvPoly.one(a.field, a.nvars)
+    for part, _ in squarefree_decompose(a):
+        out = out * part
+    return out
+
+
+@pytest.mark.parametrize("F", [PrimeField(7), PrimeField(101),
+                               RationalField()], ids=["F7", "F101", "Q"])
+def test_squarefree_part_is_the_product_of_the_parts(F, monkeypatch):
+    # p > deg a (or p = 0) takes the derivative gcd's cofactor; over F_7 the
+    # inputs of degree 7 or more, a 7th power among them, keep Yun's loop.
+    x0, x1, x2 = (MvPoly.variable(F, 3, j) for j in range(3))
+    one = MvPoly.one(F, 3)
+    cases = [(x0 - x1) ** 2 * x2, (x0 + 2 * x1 + x2) ** 3 * (x0 * x1 - x2 ** 2),
+             (x0 - x1) ** 7 * x2, (x0 * x1 + x2 ** 2) ** 2 * (x1 - x2) ** 3,
+             (x0 + x1 + one) ** 3 * (x2 - one) ** 2, x0 ** 4 * (x1 + 3 * x2),
+             3 * (x0 ** 2 + x1 * x2)]
+    rng = random.Random(F.char)
+    for _ in range(4):
+        f = random_nonzero_poly(F, 3, 0, rng, homogeneous_deg=2)
+        g = random_nonzero_poly(F, 3, 0, rng, homogeneous_deg=1)
+        cases.append(f ** 2 * g ** 3)
+    yun = []
+    real = gcd.squarefree_decompose
+    monkeypatch.setattr(gcd, "squarefree_decompose",
+                        lambda a: yun.append(a) or real(a))
+    for a in cases:
+        del yun[:]
+        assert gcd.squarefree_part(a) == _product_of_parts(a), str(a)
+        assert bool(yun) == (0 < F.char <= a.total_degree()), str(a)

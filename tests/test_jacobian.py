@@ -17,6 +17,7 @@ from fiberbound.errors import (BadInput, CommonFactor, FDoesNotDivideMinor,
 from fiberbound.fixtures import (FIXTURES, make_cube_dependent, make_example2,
                                  make_family)
 from fiberbound.jacobian import generic_finiteness_check
+from fiberbound.poly import monomials_of_degree
 
 from conftest import _count_brown, _gl_copy, rand_nonzero, random_poly
 
@@ -436,3 +437,73 @@ def test_validation_errors(field, xyz):
     with pytest.raises(CommonFactor) as exc:
         RationalMapInput.create(field, [x0 ** 2, x0 * x1])
     assert exc.value.gcd == x0
+
+
+def _minors_by_path(jac, s, packed, monkeypatch):
+    """Every s-minor's poly, the packed path forced on or off."""
+    with monkeypatch.context() as m:
+        m.setattr(jac_mod, "_packs", lambda a, b: packed)
+        assert (jac_mod._packed_entries(jac, s) is not None) == packed
+        return [mn.poly for mn in minors(jac, s)]
+
+
+def _packing_cases():
+    """(id, map): the fixtures, their GL copies, and GL copies of family
+    maps over F_7 and F_101."""
+    cases = [(fx.name, fx.build) for fx in FIXTURES]
+    cases += [(f"gl:{fx.name}", lambda fx=fx: _gl_copy(
+        fx.build(), random.Random(fx.name))) for fx in FIXTURES]
+    cases += [(f"gl:family_d{d}/F{p}", lambda d=d, p=p: _gl_copy(
+        make_family(d, PrimeField(p)), random.Random(d))) for p in (7, 101)
+        for d in (4, 5)]
+    return cases
+
+
+@pytest.mark.parametrize("name, make", _packing_cases(),
+                         ids=[c[0] for c in _packing_cases()])
+def test_packed_and_expanded_minors_agree(name, make, monkeypatch):
+    jac = build_jacobian(make())
+    for s in (1, 2, 3):
+        assert _minors_by_path(jac, s, True, monkeypatch) \
+            == _minors_by_path(jac, s, False, monkeypatch), s
+
+
+@pytest.mark.parametrize("p", [7, 2147483647])
+def test_packed_minors_hold_the_largest_coefficients(p, monkeypatch):
+    # Dense diagonal entries of coefficients p - 1: the middle coefficients
+    # of their product sum many (p - 1)^3; a transposition flips the sign.
+    # The degrees put the bound at several places within its top byte.
+    F = PrimeField(p)
+    zero = MvPoly.zero(F, 3)
+    for k in (3, 4, 5):
+        dense = MvPoly(F, 3, {e: p - 1 for e in monomials_of_degree(3, k)})
+        diag = [[dense if i == j else zero for j in range(3)]
+                for i in range(3)]
+        for jac in (diag, [diag[1], diag[0], diag[2]]):
+            assert _minors_by_path(jac, 3, True, monkeypatch) \
+                == _minors_by_path(jac, 3, False, monkeypatch), k
+
+
+def test_gl_copies_take_the_packed_minors_and_the_fixtures_do_not():
+    # The GL copies' entries are dense forms of degree d - 1 >= 3; at
+    # d = 3 (cube_dependent) a dense quadric has too few term pairs.
+    for fx in FIXTURES:
+        inp = fx.build()
+        assert jac_mod._packed_entries(build_jacobian(inp), 3) is None
+        gl = build_jacobian(_gl_copy(inp, random.Random(fx.name)))
+        assert (jac_mod._packed_entries(gl, 3) is None) \
+            == (fx.name == "cube_dependent"), fx.name
+    Q = RationalField()
+    gl_q = _gl_copy(make_family(5, Q), random.Random(5))
+    assert jac_mod._packed_entries(build_jacobian(gl_q), 3) is None
+
+
+def test_euler_syzygy_when_every_minor_vanishes(field):
+    # The forms involve X0 and X1 only, so the X2 column of J is zero.
+    x0, x1, _ = (MvPoly.variable(field, 3, j) for j in range(3))
+    inp = RationalMapInput.create(field, [x0 ** 2, x0 * x1, x1 ** 2,
+                                          x0 * x1 + x1 ** 2])
+    jr = jacobian_report(inp)
+    assert jr.F is None
+    with pytest.raises(AllMinorsZero):
+        euler_syzygy(inp, jr)

@@ -7,8 +7,10 @@ import pytest
 
 from fiberbound import (ArityMismatch, MvPoly, NotDivisible, PrimeField,
                         RationalField)
-from fiberbound.poly import (KRONECKER_PAIRS, _dict_mul, _integer_mul,
-                             _kronecker_mul, _packs, grlex_key,
+from fiberbound import poly
+from fiberbound.poly import (DIV_TERMS, KRONECKER_PAIRS, _dict_mul,
+                             _integer_mul, _kronecker_mul, _pack, _packed_div,
+                             _packs, _slot_bytes, _unpack_signed, grlex_key,
                              monomials_of_degree)
 
 from conftest import rand_nonzero, random_poly
@@ -559,3 +561,123 @@ def test_non_forms_rationals_and_one_variable_take_the_dict_loop(monkeypatch):
     assert sparse[0] * sparse[1] == MvPoly(F, 3, _dict_mul(sparse[0].terms,
                                                            sparse[1].terms))
     assert _packs(form, other) and not _packs(form, non_form)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_signed_unpack_reads_slots_at_the_edges_of_the_bias(width):
+    # Slots at -(bias - 1) and bias - 1 next to each other, 2 bias filling
+    # the width exactly; x is negative whenever its top slot is.
+    bias = 1 << 8 * width - 1
+    rng = random.Random(width)
+    for _ in range(50):
+        values = [rng.choice([1 - bias, bias - 1, 0, rng.randrange(1 - bias,
+                                                                   bias)])
+                  for _ in range(7)]
+        x = sum(v << 8 * width * i for i, v in enumerate(values))
+        offsets = [width * i for i in range(7)]
+        assert _unpack_signed(x, width, offsets, bias) == values
+    assert _slot_bytes(2 * bias) == width + 1 and _slot_bytes(2 * bias - 1) \
+        == width
+
+
+def _dict_division(monkeypatch, a, b):
+    """a / b by the dict loop, or "ND" when b does not divide a."""
+    with monkeypatch.context() as m:
+        m.setattr(poly, "DIV_TERMS", float("inf"))
+        try:
+            return a.exact_div(b)
+        except NotDivisible:
+            return "ND"
+
+
+def _packed_division(a, b):
+    try:
+        return MvPoly(a.field, a.nvars, _packed_div(a, b))
+    except NotDivisible:
+        return "ND"
+
+
+@pytest.mark.parametrize("p", [7, 101, 2147483647])
+def test_packed_division_agrees_with_the_dict_loop(p, monkeypatch):
+    # Forms and non-forms in 2 to 4 variables: exact products, products with
+    # one term changed, shifted by X0, and unrelated pairs.  Both paths give
+    # the same quotient or both raise NotDivisible.
+    F = PrimeField(p)
+    rng = random.Random(p)
+    outcomes = {"form": set(), "non-form": set()}
+    for _ in range(60):
+        nvars = rng.choice([2, 3, 4])
+        kind = rng.choice(["form", "non-form"])
+        if kind == "form":
+            q, b = (random_poly(F, nvars, 0, rng, homogeneous_deg=rng.randint(
+                lo, 4), density=rng.uniform(0.3, 1.0)) for lo in (0, 1))
+        else:
+            q, b = (random_poly(F, nvars, rng.randint(lo, 4), rng)
+                    for lo in (0, 1))
+        if b.is_constant():
+            continue
+        a = q * b
+        tweak = MvPoly(F, nvars, {rng.choice(list(a.terms)): rng.randrange(
+            1, p)})
+        x0 = [1] + [0] * (nvars - 1)
+        for dividend, divisor in ((a, b), (a + tweak, b), (a.shift(x0), b),
+                                  (a, b.shift(x0)), (b * b, q + b)):
+            if dividend.is_zero() or divisor.is_constant():
+                continue
+            want = _dict_division(monkeypatch, dividend, divisor)
+            assert _packed_division(dividend, divisor) == want, (dividend,
+                                                                 divisor)
+            outcomes[kind].add(want == "ND")
+    assert outcomes == {"form": {True, False}, "non-form": {True, False}}
+
+
+def test_packed_division_of_forms_bounds_the_quotient_degree(field):
+    # X0 X1 divides X1 g only after X0 is dropped: the dehomogenised
+    # quotient g(1, X1, X2) has degree deg g, one more than deg a - deg b.
+    # X0 does not divide g, but g has X0 in its leading monomials, so
+    # only the degree of the quotient tells.
+    x0, x1, x2 = (MvPoly.variable(field, 3, j) for j in range(3))
+    g = (x0 + x1 + x2) ** 3 + x1 * x2 * (x1 - 2 * x2)
+    with pytest.raises(NotDivisible):
+        _packed_div(x1 * g, x0 * x1)
+    assert _packed_division(x0 * x1 * g, x0 * x1) == g
+
+
+@pytest.mark.parametrize("p", [7, 2147483647])
+def test_packed_division_slots_hold_the_worst_case_sum(p):
+    # A dense quotient of coefficients p - 1 by a dense divisor of
+    # coefficients 1, stored negated as p - 1: the middle slots gain
+    # (p - 1)^2 from every quotient monomial, as many as the width allows.
+    F = PrimeField(p)
+    for nvars, deg in ((2, 9), (3, 5), (4, 3)):
+        for k in (1, 2):
+            q = MvPoly(F, nvars, {e: p - 1 for e in monomials_of_degree(
+                nvars, k)})
+            b = MvPoly(F, nvars, {e: 1 for e in monomials_of_degree(
+                nvars, deg)})
+            assert _packed_division(q * b, b) == q
+            assert _packed_division(q * b, q) == b
+
+
+def test_large_divisions_take_the_packed_path(field, monkeypatch):
+    calls = []
+    real = poly._packed_div
+    monkeypatch.setattr(poly, "_packed_div",
+                        lambda a, b: calls.append(len(a.terms)) or real(a, b))
+    rng = random.Random(17)
+    b = random_poly(field, 3, 0, rng, homogeneous_deg=2, density=1.0)
+    q = random_poly(field, 3, 0, rng, homogeneous_deg=4, density=1.0)
+    a = q * b
+    assert len(a.terms) >= DIV_TERMS
+    assert a.exact_div(b) == q and calls == [len(a.terms)]
+    # a one-term quotient (no more dividend than divisor terms), a monomial
+    # divisor and the rationals keep the dict loop
+    assert a.exact_div(a) == MvPoly.one(field, 3)
+    assert (a * MvPoly.variable(field, 3, 1)).exact_div(a) \
+        == MvPoly.variable(field, 3, 1)
+    assert a.shift([1, 0, 0]).exact_div(MvPoly.variable(field, 3, 0)) == a
+    Q = RationalField()
+    qa = MvPoly(Q, 3, {e: c % 7 - 3 for e, c in a.terms.items()})
+    qb = MvPoly(Q, 3, {e: c % 5 - 2 for e, c in b.terms.items()})
+    assert (qa * qb).exact_div(qb) == qa
+    assert calls == [len(a.terms)]

@@ -8,7 +8,8 @@ import pytest
 from fiberbound import (MvPoly, PrimeField, RationalField,
                         RationalModeUnsupported, univariate)
 from fiberbound.univariate import (_distinct_degree, irreducible_quadratics,
-                                   u_factor, u_mul, u_roots)
+                                   u_factor, u_mul, u_mulmod, u_powmod, u_rem,
+                                   u_roots)
 
 from conftest import rand_nonzero
 
@@ -203,3 +204,28 @@ def test_factor_rational_mode_rejected():
     # (t - 2)(t - 3) over Q: factoring needs a prime field, as root finding does
     with pytest.raises(RationalModeUnsupported):
         u_factor(RationalField(), [6, -5, 1])
+
+
+def _binary_powmod(base, e, mod, p):
+    """base^e mod `mod` by right-to-left binary exponentiation."""
+    result, base = [1], u_rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = u_mulmod(result, base, mod, p)
+        base = u_mulmod(base, base, mod, p)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("p", [2, 7, 101, 2147483647])
+def test_powmod_matches_binary_exponentiation(p):
+    rng = random.Random(p)
+    exponents = [0, 1, 2, 3, 15, 16, 17, p, (p - 1) // 2, (p ** 2 - 1) // 2]
+    exponents += [(1 << k) - 1 for k in (4, 5, 8, 30, 31, 61)]
+    exponents += [rng.getrandbits(k) for k in (3, 9, 31, 64) for _ in range(3)]
+    for deg in (1, 3, 5, 8):
+        mod = [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+        for e in exponents:
+            base = [rng.randrange(p) for _ in range(rng.randrange(12))]
+            assert u_powmod(base, e, mod, p) == _binary_powmod(base, e, mod,
+                                                                p), (deg, e)
